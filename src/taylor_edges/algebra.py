@@ -4,25 +4,71 @@ Elements are 0-based integers.  A k-ary operation is stored as a flat value
 vector of length n^k, indexed row-major with the leftmost argument most
 significant, so tables are bit-stable across runs and platforms.
 
-The closure engine `generate_subproduct` is the workhorse for everything
-else: subuniverse generation, subpowers, free algebras (via `terms`), and
-the matrix method (via `commutator`) all reduce to closing a set of vectors
-under coordinatewise application of the basic operations.
+Closures come in three tiers, each picked from the size of its input:
+
+- Set closure.  `sg_closure` and `enumerate_subuniverses` need only the set
+  a seed generates in one algebra.  Algebras of at most
+  `_SET_CLOSURE_PYTHON_MAX` elements close it by a plain-Python semi-naive
+  fixpoint; larger ones by whole-set numpy rounds `T[np.ix_(S, ..., S)]` over
+  each table reshaped once per algebra.
+- Narrow blocks.  `generate_subproduct` closes a set of vectors under
+  coordinatewise application of the basic operations; subpowers, relations,
+  free algebras (via `terms`) and the matrix method (via `congruences`) all
+  reduce to it.  A block whose argument tuples times coordinates is at most
+  `_NARROW_BLOCK_WORK` is evaluated in plain Python over nested tables.
+- Wide chunks.  Larger blocks are cut into chunks of `_CHUNK_BUDGET`
+  elements; a chunk gathers all its coordinates in one fancy-index over the
+  stacked tables of the distinct coordinate algebras, in slices of
+  `_GATHER_SLICE` index entries, and collapses to its distinct rows with
+  `np.unique`.
+
+Every tier of `generate_subproduct` keeps one contract, so its output does
+not depend on the tier:
+
+- Rows come in discovery order: the seeds (deduplicated, in given order),
+  then round by round.  A round enumerates, per operation and per position p
+  of the first argument found in the previous round, the argument tuples in
+  row-major order; that (op, p) block is cut into chunks at multiples of the
+  chunk size.  A chunk's unseen rows are appended in ascending lexicographic
+  order.  Rows found in a round become arguments in the next round.
+- A row's derivation is (op index, argument indices) of the first argument
+  tuple, in enumeration order, that produced it.
+- The cap is checked after each chunk: once more than `cap` rows exist,
+  `CapExceeded` is raised with every row found so far as `partial`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from operator import getitem
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, NotClosed, SignatureMismatch
 
-# Element budget per vectorized closure chunk; keeps peak memory flat.
+# Element budget per vectorized closure chunk; keeps peak memory flat.  The
+# chunk boundaries decide which partial set a capped closure returns.
 _CHUNK_BUDGET = 1 << 22
+# A block of at most this many (argument tuple, coordinate) lookups is
+# evaluated in plain Python, where numpy's per-call set-up would dominate.
+_NARROW_BLOCK_WORK = 2048
+# Entries per slice of a wide chunk's gather index; small enough to stay in cache.
+_GATHER_SLICE = 1 << 17
+# Algebras up to this size close plain sets in Python; larger ones in numpy.
+_SET_CLOSURE_PYTHON_MAX = 8
+
+
+def table_side(length: int, arity: int) -> int | None:
+    """The n with n**arity == length, or None when there is none."""
+    n = round(length ** (1.0 / arity))
+    # guard against float rounding for the tiny sizes we use
+    for cand in (n - 1, n, n + 1):
+        if cand >= 1 and cand**arity == length:
+            return cand
+    return None
 
 
 @dataclass(frozen=True)
@@ -32,21 +78,32 @@ class OperationTable:
     symbol: str
     arity: int
     table: tuple[int, ...]
+    # the side n of the table, computed once; None for a malformed length,
+    # which validate_algebra reports
+    n: int | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", table_side(len(self.table), self.arity))
 
     def size(self) -> int:
-        n = round(len(self.table) ** (1.0 / self.arity))
-        # guard against float rounding for the tiny sizes we use
-        for cand in (n - 1, n, n + 1):
-            if cand >= 1 and cand**self.arity == len(self.table):
-                return cand
-        raise ValueError(f"table length {len(self.table)} is not a {self.arity}-th power")
+        if self.n is None:
+            raise ValueError(f"table length {len(self.table)} is not a {self.arity}-th power")
+        return self.n
 
     def apply(self, *args: int) -> int:
-        n = self.size()
+        n = self.n
         idx = 0
         for a in args:
             idx = idx * n + a
         return self.table[idx]
+
+    @functools.cached_property
+    def nested(self) -> tuple:
+        """The table as nested tuples: nested[a][b]...[z] is the value at (a, b, ..., z)."""
+        out = self.table
+        for _ in range(self.arity - 1):
+            out = tuple(out[i : i + self.n] for i in range(0, len(out), self.n))
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,20 +177,147 @@ def validate_algebra(alg: FiniteAlgebra) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized closure engine
-
-
-def _np_tables(alg: FiniteAlgebra) -> list[np.ndarray]:
-    return [np.asarray(op.table, dtype=np.int64) for op in alg.ops]
+# Closure engine
 
 
 def _check_similar(coords: Sequence[FiniteAlgebra]) -> None:
     sig = coords[0].signature
     for c in coords[1:]:
-        if c.signature != sig:
+        if c is not coords[0] and c.signature != sig:
             raise SignatureMismatch(
                 f"coordinate algebras differ in signature: {sig} vs {c.signature}"
             )
+
+
+def _narrow_block(nested, rows, ranges) -> list[tuple[tuple[int, ...], int]]:
+    """Evaluate one block in plain Python over the coordinates' nested tables.
+
+    Returns the block's distinct result rows in ascending order, each with the
+    position, in enumeration order, of the first argument tuple producing it.
+    """
+    # vals holds, per argument prefix, each coordinate's table with the
+    # prefix applied; unrolled for the common coordinate counts
+    m = len(nested)
+    (lo, hi), *rest = ranges
+    if m == 1:
+        (t0,) = nested
+        vals = [(t0[x],) for (x,) in rows[lo:hi]]
+        for lo, hi in rest:
+            seg = rows[lo:hi]
+            vals = [(v0[x],) for (v0,) in vals for (x,) in seg]
+    elif m == 2:
+        t0, t1 = nested
+        vals = [(t0[x], t1[y]) for x, y in rows[lo:hi]]
+        for lo, hi in rest:
+            seg = rows[lo:hi]
+            vals = [(v0[x], v1[y]) for v0, v1 in vals for x, y in seg]
+    elif m == 3:
+        t0, t1, t2 = nested
+        vals = [(t0[x], t1[y], t2[z]) for x, y, z in rows[lo:hi]]
+        for lo, hi in rest:
+            seg = rows[lo:hi]
+            vals = [(v0[x], v1[y], v2[z]) for v0, v1, v2 in vals for x, y, z in seg]
+    else:
+        vals = [tuple(map(getitem, nested, r)) for r in rows[lo:hi]]
+        for lo, hi in rest:
+            seg = rows[lo:hi]
+            vals = [tuple(map(getitem, v, r)) for v in vals for r in seg]
+    # walking backwards, the first position of each row is written last
+    return sorted(dict(zip(reversed(vals), range(len(vals) - 1, -1, -1))).items())
+
+
+def _block_args(q: int, ranges) -> tuple[int, ...]:
+    """The argument tuple at position q of a block's enumeration."""
+    args = []
+    for lo, hi in reversed(ranges):
+        q, r = divmod(q, hi - lo)
+        args.append(lo + r)
+    return tuple(reversed(args))
+
+
+class _WideTables:
+    """Numpy state of one closure's wide chunks.
+
+    Per op, the tables of the distinct coordinate algebras are stacked into one
+    uint8 vector with an offset per coordinate, so a chunk gathers every
+    coordinate in one fancy-index instead of one per coordinate.  The index
+    takes the narrowest unsigned dtype that holds the stacked table's length;
+    no partial index exceeds the final one, so the arithmetic cannot wrap.
+    """
+
+    def __init__(self, coords: Sequence[FiniteAlgebra], sizes: Sequence[int]):
+        slot: dict[int, int] = {}  # id(algebra) -> position in `algebras`
+        algebras: list[FiniteAlgebra] = []
+        for c in coords:
+            if id(c) not in slot:
+                slot[id(c)] = len(algebras)
+                algebras.append(c)
+        self.m = len(coords)
+        # per op: (stacked table, index dtype, size multiplier, offsets or None)
+        self.ops: list[tuple[np.ndarray, type, object, np.ndarray | None]] = []
+        for oi in range(len(coords[0].ops)):
+            tabs = [np.asarray(a.ops[oi].table, dtype=np.uint8) for a in algebras]
+            table = np.concatenate(tabs)
+            if len(table) <= 1 << 8:
+                dtype = np.uint8
+            elif len(table) <= 1 << 16:
+                dtype = np.uint16
+            else:
+                dtype = np.int64
+            # a scalar multiplier keeps numpy's inner loop over the whole slice
+            # instead of over one row's m coordinates
+            mult = sizes[0] if len(set(sizes)) == 1 else np.asarray(sizes, dtype=dtype)
+            offsets = None
+            if len(algebras) > 1:
+                starts = np.cumsum([0] + [len(t) for t in tabs[:-1]]).astype(dtype)
+                offsets = starts[[slot[id(c)] for c in coords]]
+            self.ops.append((table, dtype, mult, offsets))
+        # rows pack into a single int64 when the coordinate value space is small
+        # enough; sorting scalars is much faster than sorting void records
+        packable = 1
+        for s in sizes:
+            packable *= s
+            if packable > 1 << 62:
+                break
+        self.strides = None
+        if packable <= 1 << 62:
+            self.strides = np.empty(self.m, dtype=np.int64)
+            acc = 1
+            for j in range(self.m - 1, -1, -1):
+                self.strides[j] = acc
+                acc *= sizes[j]
+        self.void_t = np.dtype((np.void, self.m))
+
+    def gather(self, oi: int, arr: np.ndarray, arg_idx: list[np.ndarray]) -> np.ndarray:
+        """Op `oi` applied coordinatewise to rows arr[arg_idx[0]], arr[arg_idx[1]], ...
+
+        The index is built in slices of at most _GATHER_SLICE entries.
+        """
+        count = len(arg_idx[0])
+        out = np.empty((count, self.m), dtype=np.uint8)
+        table, dtype, mult, offsets = self.ops[oi]
+        step = max(1, _GATHER_SLICE // self.m)
+        for s in range(0, count, step):
+            e = min(s + step, count)
+            idx = arr[arg_idx[0][s:e]].astype(dtype)
+            for ai in arg_idx[1:]:
+                idx *= mult
+                idx += arr[ai[s:e]]
+            if offsets is not None:
+                idx += offsets
+            np.take(table, idx, out=out[s:e])
+        return out
+
+    def distinct_first(self, out: np.ndarray) -> np.ndarray:
+        """Positions of the first occurrence of each distinct row of `out`,
+        ordered by ascending row."""
+        if self.strides is not None:
+            _, first = np.unique(out.astype(np.int64) @ self.strides, return_index=True)
+        else:
+            _, first = np.unique(
+                np.ascontiguousarray(out).view(self.void_t).ravel(), return_index=True
+            )
+        return first
 
 
 def generate_subproduct(
@@ -147,7 +331,8 @@ def generate_subproduct(
     `coords` lists the algebra acting on each coordinate (all similar); the
     result is the least superset of `seeds` closed under every operation,
     i.e. the subuniverse of the product generated by the seeds.  Returned in
-    discovery order (seeds first), deterministic.
+    discovery order (seeds first), deterministic; the module docstring fixes
+    that order.
 
     With `want_derivations`, also returns per-element provenance:
     None for seeds, else (op_index, arg_element_indices).
@@ -160,17 +345,14 @@ def generate_subproduct(
     sizes = [c.size for c in coords]
     if any(s > 255 for s in sizes):
         raise ValueError("coordinate algebras larger than 255 elements are unsupported")
-    op_tables = []  # per op: list of per-coordinate numpy tables
-    arities = []
-    for oi, op in enumerate(coords[0].ops):
-        arities.append(op.arity)
-        op_tables.append([np.asarray(c.ops[oi].table, dtype=np.uint8) for c in coords])
+    ops = coords[0].ops
+    nested: list[list | None] = [None] * len(ops)  # per op, built by its first narrow block
 
     index: dict[bytes, int] = {}
     rows: list[tuple[int, ...]] = []
     derivs: list[None | tuple[int, tuple[int, ...]]] = []
     for s in seeds:
-        r = tuple(int(v) for v in s)
+        r = tuple(map(int, s))
         if len(r) != m:
             raise ValueError(f"seed {r} has length {len(r)}, expected {m}")
         key = bytes(r)
@@ -179,47 +361,48 @@ def generate_subproduct(
             rows.append(r)
             derivs.append(None)
 
-    arr = np.asarray(rows, dtype=np.uint8).reshape(len(rows), m)
     old = 0  # rows < old were fully processed in earlier rounds
     chunk_rows = max(1024, _CHUNK_BUDGET // max(1, m))
-    void_t = np.dtype((np.void, m))
-    # rows pack into a single int64 when the coordinate value space is small
-    # enough; sorting scalars is much faster than sorting void records
-    packable = 1
-    for s in sizes:
-        packable *= s
-        if packable > 1 << 62:
-            break
-    use_packed = packable <= 1 << 62
-    if use_packed:
-        strides = np.empty(m, dtype=np.int64)
-        acc = 1
-        for j in range(m - 1, -1, -1):
-            strides[j] = acc
-            acc *= sizes[j]
+    wide = None  # built by the first wide block, with `arr`
 
     while old < len(rows):
         cur = len(rows)
         new_rows: list[tuple[int, ...]] = []
         new_derivs: list[tuple[int, tuple[int, ...]]] = []
-        for oi, arity in enumerate(arities):
-            tables = op_tables[oi]
+
+        def check_cap() -> None:
+            if cap is not None and cur + len(new_rows) > cap:
+                raise CapExceeded(
+                    f"closure exceeded cap of {cap} elements "
+                    f"({cur + len(new_rows)} found, still growing)",
+                    partial=rows + new_rows,
+                )
+
+        for oi, op in enumerate(ops):
             # every arity-tuple of indices < cur containing at least one >= old,
             # enumerated once: position p holds the first "new" index
-            for p in range(arity):
-                ranges = []
-                for q in range(arity):
-                    if q < p:
-                        ranges.append((0, old))
-                    elif q == p:
-                        ranges.append((old, cur))
-                    else:
-                        ranges.append((0, cur))
-                total = 1
-                for lo, hi in ranges:
-                    total *= hi - lo
+            for p in range(op.arity):
+                ranges = [(0, old)] * p + [(old, cur)] + [(0, cur)] * (op.arity - p - 1)
+                total = (cur - old) * old**p * cur ** (op.arity - p - 1)
                 if total == 0:
                     continue
+                if total * m <= _NARROW_BLOCK_WORK and total <= chunk_rows:
+                    if nested[oi] is None:
+                        nested[oi] = [c.ops[oi].nested for c in coords]
+                    for row, q in _narrow_block(nested[oi], rows, ranges):
+                        key = bytes(row)
+                        if key not in index:
+                            index[key] = cur + len(new_rows)
+                            new_rows.append(row)
+                            new_derivs.append((oi, _block_args(q, ranges)))
+                    check_cap()
+                    continue
+                if wide is None:
+                    wide = _WideTables(coords, sizes)
+                    arr = np.empty((0, m), dtype=np.uint8)  # rows[:len(arr)]
+                if len(arr) < cur:
+                    fresh = np.asarray(rows[len(arr):cur], dtype=np.uint8).reshape(-1, m)
+                    arr = np.concatenate([arr, fresh])
                 for start in range(0, total, chunk_rows):
                     stop = min(start + chunk_rows, total)
                     arg_idx = []
@@ -229,44 +412,19 @@ def generate_subproduct(
                         arg_idx.append(rem % span + lo)
                         rem = rem // span
                     arg_idx.reverse()
-                    out = np.empty((stop - start, m), dtype=np.uint8)
-                    args = [arr[ai] for ai in arg_idx]
-                    for j in range(m):
-                        idx = args[0][:, j].astype(np.int64)
-                        for a in args[1:]:
-                            idx = idx * sizes[j] + a[:, j]
-                        out[:, j] = tables[j][idx]
+                    out = wide.gather(oi, arr, arg_idx)
                     # collapse the chunk to its distinct rows before touching
                     # the (python-level) global index
-                    if use_packed:
-                        packed = out.astype(np.int64) @ strides
-                        _, first = np.unique(packed, return_index=True)
-                    else:
-                        uniq, first = np.unique(
-                            np.ascontiguousarray(out).view(void_t).ravel(),
-                            return_index=True,
-                        )
-                    for rr in first:
+                    for rr in wide.distinct_first(out):
                         key = out[rr].tobytes()
                         if key not in index:
                             index[key] = cur + len(new_rows)
-                            new_rows.append(tuple(int(v) for v in out[rr]))
-                            new_derivs.append(
-                                (oi, tuple(int(ai[rr]) for ai in arg_idx))
-                            )
-                    if cap is not None and cur + len(new_rows) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap of {cap} elements "
-                            f"({cur + len(new_rows)} found, still growing)",
-                            partial=list(rows) + list(new_rows),
-                        )
+                            new_rows.append(tuple(out[rr].tolist()))
+                            new_derivs.append((oi, tuple(int(ai[rr]) for ai in arg_idx)))
+                    check_cap()
         old = cur
-        if new_rows:
-            arr = np.concatenate(
-                [arr, np.asarray(new_rows, dtype=np.uint8).reshape(len(new_rows), m)]
-            )
-            rows.extend(new_rows)
-            derivs.extend(new_derivs)
+        rows.extend(new_rows)
+        derivs.extend(new_derivs)
 
     if want_derivations:
         return rows, derivs
@@ -277,11 +435,67 @@ def generate_subproduct(
 # Subuniverse generation and enumeration
 
 
+def _set_closure(alg: FiniteAlgebra) -> Callable[[frozenset[int]], frozenset[int]]:
+    """The closure operator of `alg` on nonempty sets of elements."""
+    if alg.size <= _SET_CLOSURE_PYTHON_MAX:
+        return functools.partial(_python_set_closure, alg.ops)
+    return functools.partial(_numpy_set_closure, _shaped_tables(alg), alg.size)
+
+
+def _python_set_closure(ops, seed: frozenset[int]) -> frozenset[int]:
+    """Semi-naive fixpoint: each round applies the ops only to argument tuples
+    holding at least one element found in the previous round."""
+    closed = set(seed)
+    old: list[int] = []
+    new = sorted(seed)
+    while new:
+        cur = old + new
+        found: set[int] = set()
+        for op in ops:
+            for p in range(op.arity):
+                pools = [old] * p + [new] + [cur] * (op.arity - p - 1)
+                _apply_pools(op.nested, pools, found)
+        found -= closed
+        closed |= found
+        old, new = cur, sorted(found)
+    return frozenset(closed)
+
+
+def _apply_pools(nested, pools: list[list[int]], found: set[int]) -> None:
+    """Add to `found` the value of every argument tuple in the product of `pools`."""
+    tables = [nested]
+    for pool in pools[:-1]:
+        tables = [t[a] for t in tables for a in pool]
+    last = pools[-1]
+    for t in tables:
+        found.update(map(t.__getitem__, last))
+
+
+@functools.lru_cache(maxsize=None)
+def _shaped_tables(alg: FiniteAlgebra) -> tuple[np.ndarray, ...]:
+    """Each op's table reshaped to (n,)*arity, for whole-set closure rounds."""
+    return tuple(
+        np.asarray(op.table, dtype=np.intp).reshape((alg.size,) * op.arity) for op in alg.ops
+    )
+
+
+def _numpy_set_closure(tables, n: int, seed: frozenset[int]) -> frozenset[int]:
+    """Whole-set rounds: apply each op to all of S^arity until S stops growing."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(seed)] = True
+    count = len(seed)
+    while True:
+        s = np.flatnonzero(mask)
+        for t in tables:
+            mask[t[np.ix_(*(s,) * t.ndim)]] = True
+        grown = int(np.count_nonzero(mask))
+        if grown == count:
+            return frozenset(s.tolist())
+        count = grown
+
+
 def _closure_mask(alg: FiniteAlgebra, seed: frozenset[int]) -> frozenset[int]:
-    if not seed:
-        return frozenset()
-    rows = generate_subproduct([alg], [(a,) for a in sorted(seed)])
-    return frozenset(r[0] for r in rows)
+    return _set_closure(alg)(seed) if seed else frozenset()
 
 
 @functools.lru_cache(maxsize=None)
@@ -326,8 +540,12 @@ def enumerate_subuniverses(
     if n > cap:
         raise CapExceeded(f"subuniverse enumeration capped at size {cap}, got {n}")
 
+    # one closure operator for the whole enumeration: looking each seed up in
+    # the shared cache would hash the algebra's tables on every call
+    closure = _set_closure(alg)
+
     def close(s: frozenset[int]) -> frozenset[int]:
-        return _sg_closure_cached(alg, s) if s else frozenset()
+        return closure(s) if s else frozenset()
 
     closed: list[frozenset[int]] = []
     current = close(frozenset())

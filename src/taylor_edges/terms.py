@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, generate_subproduct, induced_subalgebra, sg_closure
+from .algebra import (
+    FiniteAlgebra,
+    generate_subproduct,
+    induced_subalgebra,
+    sg_closure,
+    table_side,
+)
 from .errors import ArityMismatch, CapExceeded, NoCyclicWitness, PreconditionViolated
 
 # ---------------------------------------------------------------------------
@@ -131,18 +137,20 @@ class TermOperation:
     arity: int
     table: tuple[int, ...]
     tree: TermTree | None = field(default=None, compare=False, hash=False, repr=False)
+    n: int | None = field(init=False, compare=False, repr=False)  # side, computed once
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", table_side(len(self.table), self.arity))
 
     def size(self) -> int:
-        n = round(len(self.table) ** (1.0 / self.arity))
-        for cand in (n - 1, n, n + 1):
-            if cand >= 1 and cand**self.arity == len(self.table):
-                return cand
-        raise ValueError("table length is not a perfect power")
+        if self.n is None:
+            raise ValueError("table length is not a perfect power")
+        return self.n
 
     def apply(self, *args: int) -> int:
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
-        n = self.size()
+        n = self.n
         idx = 0
         for a in args:
             idx = idx * n + a
@@ -249,21 +257,12 @@ def free_algebra(
 
 @functools.lru_cache(maxsize=None)
 def cyclic_operations(
-    alg: FiniteAlgebra, arity: int, cap: int = 4096, first_only: bool = False
+    alg: FiniteAlgebra, arity: int, cap: int = 4096
 ) -> tuple[tuple[TermOperation, ...], bool]:
-    """Cyclic term operations of the given arity, plus a completeness flag.
-
-    With `first_only`, stops at the first cyclic element (a witness found in a
-    partial closure is still a genuine term operation).
-    """
+    """Cyclic term operations of the given arity, plus a completeness flag."""
     if arity < 2:
         raise ValueError("cyclic operations need arity >= 2")
     free = free_algebra(alg, arity, cap=cap)
-    if first_only:
-        for t in free.elements:
-            if t.is_cyclic():
-                return (t,), free.complete
-        return (), free.complete
     found = tuple(t for t in free.elements if t.is_cyclic())
     return found, free.complete
 
