@@ -113,6 +113,9 @@ class FiniteAlgebra:
     name: str
     size: int
     ops: tuple[OperationTable, ...]
+    # the hash of the fields, computed once: caches keyed by an algebra would
+    # otherwise hash every table on every call
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -120,6 +123,14 @@ class FiniteAlgebra:
             if op.symbol in seen:
                 raise ValueError(f"duplicate operation symbol {op.symbol!r}")
             seen.add(op.symbol)
+        object.__setattr__(self, "_hash", hash((self.name, self.size, self.ops)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between interpreters
+        return (type(self), (self.name, self.size, self.ops))
 
     @property
     def signature(self) -> tuple[tuple[str, int], ...]:

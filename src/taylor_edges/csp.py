@@ -10,8 +10,10 @@ constraint relation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +63,28 @@ from .terms import (
 
 
 def canonical_key(alg: FiniteAlgebra) -> tuple:
-    """Isomorphism-invariant key: the least relabeled table vector."""
+    """Isomorphism-invariant key: the least relabeled table vector.
+
+    Under a relabeling `perm` with inverse `inv`, a k-ary table's entry at
+    (a_1, ..., a_k) is perm[table[flat(inv[a_1], ..., inv[a_k])]]; the flat
+    indices are listed once per arity and permutation, in row-major order.
+    """
     n = alg.size
     best = None
     for perm in itertools.permutations(range(n)):
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
+        indices: dict[int, list[int]] = {}
         tables = []
         for op in alg.ops:
-            table = tuple(
-                perm[op.apply(*(inv[a] for a in args))]
-                for args in itertools.product(range(n), repeat=op.arity)
-            )
-            tables.append(table)
+            if op.arity not in indices:
+                idxs = [0]
+                for _ in range(op.arity):
+                    idxs = [q * n + x for q in idxs for x in inv]
+                indices[op.arity] = idxs
+            values = map(op.table.__getitem__, indices[op.arity])
+            tables.append(tuple(map(perm.__getitem__, values)))
         key = tuple(tables)
         if best is None or key < best:
             best = key
@@ -119,7 +129,8 @@ class Template:
                 if key not in seen:
                     seen[key] = d
                     queue.append(d)
-        members = tuple(sorted(seen.values(), key=lambda a: (a.size, canonical_key(a))))
+        # a key starts with the algebra's size, so this orders by (size, key)
+        members = tuple(seen[key] for key in sorted(seen))
         return Template(tuple(seeds), members, size_cap)
 
 
@@ -261,9 +272,60 @@ def brute_force_solve(
 # (k, l)-minimality
 
 
-def _project(tuples: frozenset, src_scope: tuple[str, ...], dst_scope: tuple[str, ...]):
-    idxs = [src_scope.index(v) for v in dst_scope]
-    return frozenset(tuple(t[i] for i in idxs) for t in tuples)
+# A relation on a scope is an int over a fixed list of rows: bit p is set when
+# row p is in the relation.  A scope of size <= l has as rows the product of
+# its domains, in row-major order.  An original constraint wider than l has its
+# own tuples as rows, so its cost follows the size of its relation, not of the
+# product of its domains.
+
+_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _shape_tuples(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The tuples of a product of domains of sizes `shape`, in row-major order."""
+    return tuple(itertools.product(*map(range, shape)))
+
+
+def _row_major(t, shape: tuple[int, ...]) -> int:
+    p = 0
+    for x, n in zip(t, shape):
+        p = p * n + x
+    return p
+
+
+def _positions_mask(positions, width: int) -> int:
+    """The int with exactly the given bits set, built in one pass."""
+    bits = bytearray((width + 7) >> 3)
+    for p in positions:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _fibers(rows, sub_shape: tuple[int, ...], idx: tuple[int, ...]) -> tuple[int, ...]:
+    """For each tuple j (row-major) of a product of domains of sizes
+    `sub_shape`, the mask of the `rows` whose coordinates `idx` form j."""
+    positions: list[list[int]] = [[] for _ in range(math.prod(sub_shape))]
+    for p, t in enumerate(rows):
+        positions[_row_major([t[i] for i in idx], sub_shape)].append(p)
+    return tuple(_positions_mask(ps, len(rows)) for ps in positions)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _product_fibers(shape: tuple[int, ...], idx: tuple[int, ...]) -> tuple[int, ...]:
+    return _fibers(_shape_tuples(shape), tuple(shape[i] for i in idx), idx)
+
+
+def _project_mask(mask: int, fibers: tuple[int, ...]) -> int:
+    out = 0
+    for j, f in enumerate(fibers):
+        if mask & f:
+            out |= 1 << j
+    return out
+
+
+def _mask_tuples(mask: int, rows) -> frozenset:
+    return frozenset(rows[p] for p, b in enumerate(bin(mask)[:1:-1]) if b == "1")
 
 
 def kl_minimize(instance: Instance, k: int = 2, l: int = 3) -> tuple[Instance, str]:
@@ -272,8 +334,18 @@ def kl_minimize(instance: Instance, k: int = 2, l: int = 3) -> tuple[Instance, s
     One constraint is introduced per scope of size <= l (initialized from the
     projections of the original constraints covering it, or the full
     product); original constraints with larger scopes are kept.  Projection /
-    restriction propagation runs to a fixpoint over scope pairs S' <= S with
-    |S'| <= k.  Returns (instance, "unsat") as soon as a relation empties.
+    restriction then runs over scope pairs S' < S with |S'| <= k as a
+    worklist: the pairs are listed once per instance, processing S intersects
+    each S' with the projection of S and filters S by every S', and a scope
+    is queued again only when a sub-relation it filters by shrank.
+    Relations are bitmasks: over the product of the domains for a scope of
+    size <= l, over the constraint's own tuples for a wider one.
+
+    On a satisfiable instance the result is the greatest common fixpoint of
+    those operations below the initial relations, so it does not depend on
+    the order of the queue.  Returns (instance, "unsat") as soon as a
+    relation empties; the other relations of that instance are an
+    intermediate state of the propagation, not a fixpoint.
     """
     if not 1 <= k <= l:
         raise ValueError("need 1 <= k <= l")
@@ -281,73 +353,125 @@ def kl_minimize(instance: Instance, k: int = 2, l: int = 3) -> tuple[Instance, s
     order = {v: i for i, v in enumerate(variables)}
     dom = instance.domains()
 
-    relations: dict[tuple[str, ...], frozenset] = {}
-    big: dict[tuple[str, ...], frozenset] = {}
+    def shape_of(scope: tuple[str, ...]) -> tuple[int, ...]:
+        return tuple(dom[v].size for v in scope)
+
+    given: dict[tuple[str, ...], frozenset] = {}
     for c in instance.constraints:
         canonical = tuple(sorted(c.scope, key=order.get))
-        reordered = _project(c.tuples, c.scope, canonical)
-        target = relations if len(canonical) <= l else big
-        if canonical in target:
-            target[canonical] = target[canonical] & reordered
+        tuples = c.tuples
+        if canonical != c.scope:
+            perm = [c.scope.index(v) for v in canonical]
+            tuples = frozenset(tuple(t[i] for i in perm) for t in tuples)
+        given[canonical] = given.get(canonical, tuples) & tuples
+    original: dict[tuple[str, ...], int] = {}
+    wide_rows: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
+    for scope, tuples in given.items():
+        if len(scope) > l:
+            wide_rows[scope] = tuple(sorted(tuples))
+            original[scope] = (1 << len(tuples)) - 1
         else:
-            target[canonical] = reordered
+            shape = shape_of(scope)
+            positions = (_row_major(t, shape) for t in tuples)
+            original[scope] = _positions_mask(positions, math.prod(shape))
 
+    def fibers_of(
+        scope: tuple[str, ...], shape: tuple[int, ...], idx: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        if scope in wide_rows:
+            return _fibers(wide_rows[scope], tuple(shape[i] for i in idx), idx)
+        return _product_fibers(shape, idx)
+
+    # only original constraints can cover a scope that is not one of them
+    cover: dict[tuple[str, ...], int] = {}
+    for scope, mask in original.items():
+        shape = shape_of(scope)
+        for r in range(1, min(l, len(scope) - 1) + 1):
+            positions = itertools.combinations(range(len(scope)), r)
+            for idx, sub in zip(positions, itertools.combinations(scope, r)):
+                if sub not in original:
+                    proj = _project_mask(mask, fibers_of(scope, shape, idx))
+                    cover[sub] = cover.get(sub, proj) & proj
+    relations: dict[tuple[str, ...], int] = {}
     for size in range(1, l + 1):
         for combo in itertools.combinations(variables, size):
-            if combo in relations:
-                continue
-            full = frozenset(
-                itertools.product(*(range(dom[v].size) for v in combo))
-            )
-            covering = [s for s in list(relations) + list(big) if set(combo) <= set(s)]
-            rel = full
-            for s in covering:
-                src = relations[s] if s in relations else big[s]
-                rel = rel & _project(src, s, combo)
-            relations[combo] = rel
+            if combo in original:
+                relations[combo] = original[combo]
+            elif combo in cover:
+                relations[combo] = cover[combo]
+            else:
+                relations[combo] = (1 << math.prod(shape_of(combo))) - 1
+    big = {s: original[s] for s in wide_rows}
 
-    all_scopes = list(relations) + list(big)
+    scopes = list(relations) + list(big)
+    masks = list(relations.values()) + list(big.values())
+    ident = {s: i for i, s in enumerate(scopes)}
+    subs: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in scopes]
+    supers: list[list[int]] = [[] for _ in scopes]
+    shapes = [shape_of(s) for s in scopes]
+    for i, scope in enumerate(scopes):
+        for r in range(1, min(k, len(scope) - 1) + 1):
+            positions = itertools.combinations(range(len(scope)), r)
+            for idx, sub in zip(positions, itertools.combinations(scope, r)):
+                t = ident[sub]
+                subs[i].append((t, fibers_of(scope, shapes[i], idx)))
+                supers[t].append(i)
 
-    def rel_of(s):
-        return relations[s] if s in relations else big[s]
+    def result(status: str) -> tuple[Instance, str]:
+        cons = []
+        for s in sorted(relations) + sorted(big):
+            i = ident[s]
+            rows = wide_rows[s] if s in wide_rows else _shape_tuples(shapes[i])
+            cons.append(Constraint(s, _mask_tuples(masks[i], rows)))
+        return instance.with_constraints(tuple(cons)), status
 
-    def set_rel(s, val):
-        if s in relations:
-            relations[s] = val
-        else:
-            big[s] = val
-
-    changed = True
-    while changed:
-        changed = False
-        for s_small, s_large in itertools.permutations(all_scopes, 2):
-            if not set(s_small) <= set(s_large) or len(s_small) > k:
-                continue
-            small, large = rel_of(s_small), rel_of(s_large)
-            proj = _project(large, s_large, s_small)
-            new_small = small & proj
-            if new_small != small:
-                set_rel(s_small, new_small)
-                changed = True
-                small = new_small
-            keep = frozenset(
-                t for t in large
-                if _project(frozenset({t}), s_large, s_small) <= small
-            )
-            if keep != large:
-                set_rel(s_large, keep)
-                changed = True
-            if not new_small or not keep:
-                out = instance.with_constraints(
-                    tuple(
-                        Constraint(s, rel_of(s)) for s in sorted(relations) + sorted(big)
-                    )
-                )
-                return out, "unsat"
-
-    cons = tuple(Constraint(s, rel_of(s)) for s in sorted(relations) + sorted(big))
-    status = "unsat" if any(not c.tuples for c in cons) else "sat"
-    return instance.with_constraints(cons), status
+    if not all(masks):
+        return result("unsat")
+    queue = collections.deque(i for i in reversed(range(len(scopes))) if subs[i])
+    queued = [bool(s) for s in subs]
+    while queue:
+        s = queue.popleft()
+        queued[s] = False
+        m = masks[s]
+        shrunk: list[int] = []
+        # narrow each sub-relation to the projection of m and filter m by it,
+        # until m stops shrinking
+        while True:
+            before = m
+            for t, fibers in subs[s]:
+                mt = masks[t]
+                kept = allowed = 0
+                for j, f in enumerate(fibers):
+                    if mt >> j & 1 and m & f:
+                        kept |= 1 << j
+                        allowed |= f
+                if kept != mt:
+                    masks[t] = kept
+                    shrunk.append(t)
+                    if not kept:
+                        masks[s] = m
+                        return result("unsat")
+                m &= allowed
+            if not m:
+                masks[s] = m
+                return result("unsat")
+            if m == before:
+                break
+        masks[s] = m
+        # Every sub-relation of s is now the projection of m, so s and its
+        # sub-scopes agree with each other.  A scope outside them that filters
+        # by a shrunk sub-relation must be redone.  A larger scope that filters
+        # by s itself need not: whatever m lost, it lost for a sub-relation
+        # that scope filters by too.
+        if shrunk:
+            inside = {t for t, _ in subs[s]}
+            inside.add(s)
+            for t in shrunk:
+                for u in supers[t]:
+                    if not queued[u] and u not in inside:
+                        queued[u] = True
+                        queue.append(u)
+    return result("sat")
 
 
 # ---------------------------------------------------------------------------

@@ -141,3 +141,28 @@ def solutions_set(instance: Instance, limit=10**6):
 
     res = brute_force_solve(instance, limit=limit)
     return set(res.solutions)
+
+
+def planted_instance(rng, template_members, n_vars=14, n_constraints=24, planted=True):
+    """A seeded instance in the shape of the benchmark's: scopes of 2 or 3
+    variables, each relation generated in the scope's product by one or two
+    random tuples, plus the projection of a planted solution when `planted`
+    (then the instance is satisfiable)."""
+    from taylor_edges.algebra import generate_subproduct
+
+    variables = [f"x{i}" for i in range(n_vars)]
+    domains = [
+        (v, template_members[rng.integers(0, len(template_members))]) for v in variables
+    ]
+    solution = [int(rng.integers(0, alg.size)) for _, alg in domains]
+    constraints = []
+    for _ in range(n_constraints):
+        picks = sorted(rng.choice(n_vars, size=int(rng.integers(2, 4)), replace=False))
+        algs = [domains[i][1] for i in picks]
+        seeds = [tuple(solution[i] for i in picks)] if planted else []
+        for _ in range(rng.integers(1, 3)):
+            seeds.append(tuple(int(rng.integers(0, a.size)) for a in algs))
+        rows = generate_subproduct(algs, seeds)
+        constraints.append((tuple(variables[i] for i in picks), {tuple(r) for r in rows}))
+    name = f"planted{rng.integers(0, 10**9)}" if planted else f"open{rng.integers(0, 10**9)}"
+    return Instance.make(name, domains, constraints)

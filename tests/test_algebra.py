@@ -407,3 +407,32 @@ class TestQuotientHomConsistency:
         for sub in enumerate_subuniverses(alg_a1).subuniverses:
             h = subalgebra_embedding(alg_a1, sub)
             assert is_homomorphism(h.source, alg_a1, h.mapping)
+
+
+class TestAlgebraHash:
+    def test_equal_algebras_built_apart_hash_equal(self, alg_a1):
+        from taylor_edges.algebra import _sg_closure_cached
+
+        twin = FiniteAlgebra(
+            alg_a1.name,
+            alg_a1.size,
+            tuple(OperationTable(op.symbol, op.arity, tuple(op.table)) for op in alg_a1.ops),
+        )
+        assert twin == alg_a1 and twin is not alg_a1
+        assert hash(twin) == hash(alg_a1)
+        assert hash(twin) == hash((alg_a1.name, alg_a1.size, alg_a1.ops))
+        seed = frozenset({1, 2})
+        sg_closure(alg_a1, seed)
+        hits = _sg_closure_cached.cache_info().hits
+        assert sg_closure(twin, seed) == sg_closure(alg_a1, seed)
+        assert _sg_closure_cached.cache_info().hits == hits + 2
+
+    def test_pickle_recomputes_the_hash(self, alg_a1):
+        # string hashes differ between interpreters, so the cached hash must
+        # not travel with the pickle
+        import pickle
+
+        data = pickle.dumps(alg_a1)
+        assert b"_hash" not in data
+        clone = pickle.loads(data)
+        assert clone == alg_a1 and hash(clone) == hash(alg_a1)
