@@ -16,7 +16,7 @@ from .algebra import FiniteAlgebra, generate_subproduct, is_subuniverse, quotien
 from .congruences import congruences as congruence_report
 from .edges import EdgeGraph, compute_edges, is_x_closed
 from .errors import CapExceeded, SEdgeMismatch
-from .terms import TermOperation, free_algebra
+from .terms import TermOperation, free_algebra, push_to_quotient
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,8 @@ class AbsorptionDecision:
 def _binary_witness(alg: FiniteAlgebra, subset: frozenset[int], cap: int):
     """A binary term t with t(B, A) <= B and t(A, B) <= B, if any."""
     free = free_algebra(alg, 2, cap=cap)
-    n = alg.size
-    inside = [x in subset for x in range(n)]
-    for t in free.elements:
-        ok = all(
-            inside[t.apply(b, x)] and inside[t.apply(x, b)]
-            for b in range(n)
-            if inside[b]
-            for x in range(n)
-        )
-        if ok:
-            return t, free.complete
-    return None, free.complete
+    witness = next((t for t in free.elements if _witnesses_2abs(t, subset, alg.size)), None)
+    return witness, free.complete
 
 
 def is_2_absorbing(
@@ -314,7 +304,7 @@ def _audit_transport(alg: FiniteAlgebra, rows, cap: int) -> bool:
                 ok = False
                 continue
             image = frozenset(blocks_of[x] for x in r.subset)
-            pushed = _push_binary(witness, theta)
+            pushed = push_to_quotient(witness, theta)
             if pushed is None or not _witnesses_2abs(pushed, image, quot.size):
                 ok = False
         # preimage direction: witnesses of quotient subsets lift along any
@@ -323,10 +313,7 @@ def _audit_transport(alg: FiniteAlgebra, rows, cap: int) -> bool:
         if qfree.complete:
             for bits in range(1, 1 << quot.size):
                 dsub = frozenset(i for i in range(quot.size) if bits >> i & 1)
-                wit = next(
-                    (t for t in qfree.elements if _witnesses_2abs(t, dsub, quot.size)),
-                    None,
-                )
+                wit, _ = _binary_witness(quot, dsub, cap)
                 if wit is None:
                     continue
                 pre = frozenset(x for x in range(alg.size) if blocks_of[x] in dsub)
@@ -344,24 +331,11 @@ def _witnesses_2abs(t: TermOperation, subset: frozenset[int], n: int) -> bool:
     )
 
 
-def _push_binary(t: TermOperation, theta) -> TermOperation | None:
-    n = t.size()
-    reps = theta.block_representatives()
-    k = len(reps)
-    table = []
-    for bx, by in itertools.product(range(k), repeat=2):
-        table.append(theta.blocks_of[t.apply(reps[bx], reps[by])])
-    for x, y in itertools.product(range(n), repeat=2):
-        if theta.blocks_of[t.apply(x, y)] != table[theta.blocks_of[x] * k + theta.blocks_of[y]]:
-            return None
-    return TermOperation(2, tuple(table))
-
-
 def _lift_binary(alg: FiniteAlgebra, t: TermOperation, theta, cap: int) -> TermOperation | None:
     """Some binary term of `alg` whose quotient table is t."""
     free = free_algebra(alg, 2, cap=cap)
     for cand in free.elements:
-        pushed = _push_binary(cand, theta)
+        pushed = push_to_quotient(cand, theta)
         if pushed is not None and pushed.table == t.table:
             return cand
     return None

@@ -142,9 +142,6 @@ class FiniteAlgebra:
                 return op
         raise KeyError(symbol)
 
-    def universe(self) -> range:
-        return range(self.size)
-
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(name, self.size, self.ops)
 
@@ -585,25 +582,9 @@ def _hypergraph_connected(n: int, edges: list[frozenset[int]]) -> bool:
     """Are all n vertices joined by chains of pairwise-intersecting edges?"""
     if n <= 1:
         return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    covered = set()
-    for e in edges:
-        elems = sorted(e)
-        covered.update(elems)
-        for a in elems[1:]:
-            ra, rb = find(elems[0]), find(a)
-            if ra != rb:
-                parent[rb] = ra
-    if covered != set(range(n)):
+    if set().union(*edges) != set(range(n)):
         return False
-    return len({find(x) for x in range(n)}) == 1
+    return Partition.from_pairs(n, ((min(e), x) for e in edges for x in e)).is_one()
 
 
 # ---------------------------------------------------------------------------
@@ -694,16 +675,34 @@ def tuple_to_index(t: Sequence[int], sizes: Sequence[int]) -> int:
     return idx
 
 
-def index_to_tuple(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))
-
-
 # ---------------------------------------------------------------------------
 # Partitions and binary relations
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1; the root of each set is its least element."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the sets of x and y; True when they were different sets."""
+        find = self.find
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        self.parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    def partition(self) -> "Partition":
+        return Partition.normalize([self.find(x) for x in range(len(self.parent))])
 
 
 @dataclass(frozen=True)
@@ -732,19 +731,11 @@ class Partition:
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(n)
+        union = uf.union
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return Partition.normalize([find(x) for x in range(n)])
+            union(a, b)
+        return uf.partition()
 
     @property
     def size(self) -> int:

@@ -31,7 +31,7 @@ from .fileio import (
     parse_instance,
     resolve_algebras,
 )
-from .terms import taylor_report, universal_meet
+from .terms import taylor_report
 
 OK, COUNTEREXAMPLE, USAGE, CAPPED = 0, 1, 2, 3
 
@@ -47,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="brute-force search space limit")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled verification (reports record it)")
+                   help="recorded in JSON reports; no computation samples it")
     p.add_argument("--out", type=str, default=None, help="write output to a file")
 
 

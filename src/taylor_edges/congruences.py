@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .algebra import (
     FiniteAlgebra,
     Partition,
+    UnionFind,
     generate_subproduct,
     induced_subalgebra,
     quotient_algebra,
@@ -49,21 +50,8 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     """Cg(a, b): close the pair under basic-operation translations."""
     n = alg.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
+    uf = UnionFind(n)
+    union = uf.union
     work = [(a, b)]
     union(a, b)
     while work:
@@ -77,7 +65,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
                     x, y = op.apply(*args_u), op.apply(*args_v)
                     if union(x, y):
                         work.append((x, y))
-    return Partition.normalize([find(x) for x in range(n)])
+    return uf.partition()
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .algebra import (
     OperationTable,
     quotient_algebra,
     sg_closure,
+    tuple_to_index,
 )
 from .congruences import (
     centralizer_condition,
@@ -49,9 +50,11 @@ from .errors import (
 from .terms import (
     TermOperation,
     Var,
+    derivation_trees,
     evaluate_tree_table,
     free_algebra,
     is_affine_algebra,
+    meet_from_binary,
     projection_table,
     substitute,
     universal_meet,
@@ -287,13 +290,6 @@ def _shape_tuples(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*map(range, shape)))
 
 
-def _row_major(t, shape: tuple[int, ...]) -> int:
-    p = 0
-    for x, n in zip(t, shape):
-        p = p * n + x
-    return p
-
-
 def _positions_mask(positions, width: int) -> int:
     """The int with exactly the given bits set, built in one pass."""
     bits = bytearray((width + 7) >> 3)
@@ -307,7 +303,7 @@ def _fibers(rows, sub_shape: tuple[int, ...], idx: tuple[int, ...]) -> tuple[int
     `sub_shape`, the mask of the `rows` whose coordinates `idx` form j."""
     positions: list[list[int]] = [[] for _ in range(math.prod(sub_shape))]
     for p, t in enumerate(rows):
-        positions[_row_major([t[i] for i in idx], sub_shape)].append(p)
+        positions[tuple_to_index([t[i] for i in idx], sub_shape)].append(p)
     return tuple(_positions_mask(ps, len(rows)) for ps in positions)
 
 
@@ -372,7 +368,7 @@ def kl_minimize(instance: Instance, k: int = 2, l: int = 3) -> tuple[Instance, s
             original[scope] = (1 << len(tuples)) - 1
         else:
             shape = shape_of(scope)
-            positions = (_row_major(t, shape) for t in tuples)
+            positions = (tuple_to_index(t, shape) for t in tuples)
             original[scope] = _positions_mask(positions, math.prod(shape))
 
     def fibers_of(
@@ -667,9 +663,13 @@ def joint_cyclic_tree(
     algebras: list[FiniteAlgebra], max_arity: int = 7, cap: int = 4096
 ) -> tuple:
     """A term tree cyclic in every listed algebra simultaneously, found by
-    closing joint projection vectors; returns (tree, arity)."""
+    closing joint projection vectors; returns (tree, arity).
+
+    An arity whose closure exceeds `cap` is skipped, and the NoCyclicWitness
+    raised when no arity gives a witness names the cap and those arities."""
     if not algebras:
         raise ValueError("need at least one algebra")
+    capped = []
     for arity in range(2, max_arity + 1):
         coords: list[FiniteAlgebra] = []
         for a in algebras:
@@ -685,30 +685,24 @@ def joint_cyclic_tree(
                 coords, seeds, cap=cap, want_derivations=True
             )
         except CapExceeded:
+            capped.append(arity)
             continue
-        trees: list = []
-        segments = [(a, a.size**arity) for a in algebras]
-        for row, d in zip(rows, derivs):
-            if d is None:
-                trees.append(Var(seeds.index(tuple(row))))
-            else:
-                oi, args = d
-                trees.append((algebras[0].ops[oi].symbol,) + tuple(trees[i] for i in args))
+        trees = derivation_trees(algebras[0].ops, seeds, rows, derivs)
+        ends = itertools.accumulate((a.size**arity for a in algebras), initial=0)
+        segments = list(itertools.pairwise(ends))  # each algebra's slice of a row
         for row, tree in zip(rows, trees):
-            offset = 0
-            cyclic = True
-            for a, width in segments:
-                seg = TermOperation(arity, tuple(row[offset : offset + width]))
-                if not seg.is_cyclic():
-                    cyclic = False
-                    break
-                offset += width
-            if cyclic:
+            if all(TermOperation(arity, row[lo:hi]).is_cyclic() for lo, hi in segments):
                 return tree, arity
-    raise NoCyclicWitness(
+    message = (
         f"no joint cyclic term of arity <= {max_arity} for "
         f"{[a.name for a in algebras]}"
     )
+    if capped:
+        message += (
+            f"; the closure exceeded the cap of {cap} elements at arities "
+            f"{capped}, which were not searched"
+        )
+    raise NoCyclicWitness(message)
 
 
 def joint_universal_meet(algebras: list[FiniteAlgebra], cap: int = 4096) -> JointMeet:
@@ -724,54 +718,16 @@ def joint_universal_meet(algebras: list[FiniteAlgebra], cap: int = 4096) -> Join
 
 @functools.lru_cache(maxsize=None)
 def _joint_universal_meet_cached(distinct: tuple[FiniteAlgebra, ...], cap: int) -> JointMeet:
-    distinct = list(distinct)
-    c_tree, arity = joint_cyclic_tree(distinct, cap=cap)
+    c_tree, arity = joint_cyclic_tree(list(distinct), cap=cap)
     t_tree = substitute(c_tree, {i: Var(1) for i in range(1, arity)})
-
-    def tables_of(tree):
-        return [
-            np.asarray(evaluate_tree_table(tree, a, 2), dtype=np.int64).reshape(a.size, a.size)
-            for a in distinct
-        ]
-
-    def iterate(base_tree):
-        base = tables_of(base_tree)
-        current = [b.copy() for b in base]
-        k = 1
-        while True:
-            ok = all(
-                np.array_equal(t[np.arange(len(t))[:, None], t], t) for t in current
-            )
-            if ok:
-                break
-            current = [
-                b[np.arange(len(b))[:, None], t] for b, t in zip(base, current)
-            ]
-            k += 1
-            if k > 1 << 20:
-                raise AssertionError("joint iteration failed to stabilize")
-        out_tree = base_tree
-        for _ in range(k - 1):
-            out_tree = substitute(base_tree, {1: out_tree})
-        return out_tree
-
-    t_k_tree = iterate(t_tree)
-    inner = substitute(t_k_tree, {0: Var(1), 1: Var(0)})
-    q_tree = substitute(t_k_tree, {1: inner})
-    f_tree = iterate(q_tree)
-
-    tables = []
-    for a in distinct:
-        table = evaluate_tree_table(f_tree, a, 2)
-        top = TermOperation(2, table, f_tree)
-        n = a.size
-        for x in range(n):
-            for y in range(n):
-                v = top.apply(x, y)
-                if top.apply(x, v) != v or top.apply(v, x) != v:
-                    raise AssertionError("joint universal meet lost its identities")
-        tables.append((a, top))
-    return JointMeet(f_tree, tuple(tables))
+    t_tables = [
+        np.asarray(evaluate_tree_table(t_tree, a, 2), dtype=np.int64).reshape(a.size, a.size)
+        for a in distinct
+    ]
+    f_tables, f_tree, _, _ = meet_from_binary(t_tables, t_tree)
+    return JointMeet(
+        f_tree, tuple((a, TermOperation(2, f, f_tree)) for a, f in zip(distinct, f_tables))
+    )
 
 
 @dataclass(frozen=True)

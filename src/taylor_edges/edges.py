@@ -21,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, BinaryRelation, induced_subalgebra, sg_closure
+from .algebra import FiniteAlgebra, BinaryRelation, Partition, induced_subalgebra, sg_closure
 from .errors import CapExceeded, NoCyclicWitness, PreconditionViolated, SEdgeMismatch
 from .terms import (
     UniversalMeet,
@@ -83,8 +83,8 @@ def _edge_pair_in_subalgebra(
     """Decide (a ->as b, a ->sm b) inside the subalgebra generated by {a, b}."""
     as_ok = True
     sm_ok = True
-    binary, b_complete = _binary_terms(sub, cap)
-    if not b_complete:
+    binary = free_algebra(sub, 2, cap=cap)
+    if not binary.complete:
         raise CapExceeded(f"binary clone of {sub.name} incomplete at cap {cap}")
     for p in arities:
         cyclics, complete = cyclic_operations(sub, p, cap=cap)
@@ -102,7 +102,7 @@ def _edge_pair_in_subalgebra(
             if sm_ok:
                 for k in range(1, p // 2 + 1):
                     w = c.apply(*((a,) * k + (b,) * (p - k)))
-                    for t in binary:
+                    for t in binary.elements:
                         if b not in sg_closure(sub, {a, t.apply(b, w)}):
                             sm_ok = False
                             break
@@ -111,12 +111,6 @@ def _edge_pair_in_subalgebra(
             if not as_ok and not sm_ok:
                 return False, False
     return as_ok, sm_ok
-
-
-@functools.lru_cache(maxsize=None)
-def _binary_terms(sub: FiniteAlgebra, cap: int):
-    free = free_algebra(sub, 2, cap=cap)
-    return free.elements, free.complete
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,22 +260,7 @@ def component_analysis(graph: EdgeGraph, flavor: str) -> ComponentDecomposition:
     sources = frozenset(i for i in range(len(comps)) if not any(y == i for _, y in cond))
     x_min = frozenset(v for i in sinks for v in comps[i])
 
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    weak: dict[int, list[int]] = {}
-    for v in range(n):
-        weak.setdefault(find(v), []).append(v)
-    weak_comps = tuple(tuple(sorted(c)) for c in sorted(weak.values(), key=lambda c: c[0]))
+    weak_comps = tuple(map(tuple, Partition.from_pairs(n, edges).blocks()))
 
     return ComponentDecomposition(
         flavor,

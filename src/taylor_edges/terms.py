@@ -206,6 +206,20 @@ class FreeAlgebra:
         return None
 
 
+def derivation_trees(ops, seeds: list, rows: list, derivs: list) -> list[TermTree]:
+    """The term tree of each row of a closure from its derivation: a seed is
+    the variable of its position in `seeds`, any other row its operation over
+    the trees of its arguments."""
+    trees: list[TermTree] = []
+    for row, d in zip(rows, derivs):
+        if d is None:
+            trees.append(Var(seeds.index(tuple(row))))
+        else:
+            oi, arg_indices = d
+            trees.append((ops[oi].symbol,) + tuple(trees[i] for i in arg_indices))
+    return trees
+
+
 @functools.lru_cache(maxsize=None)
 def free_algebra(
     alg: FiniteAlgebra, k: int, cap: int = 4096, work_cap: int = 50_000_000
@@ -240,13 +254,7 @@ def free_algebra(
 
     trees: list[TermTree | None]
     if derivs is not None:
-        trees = []
-        for row, d in zip(rows, derivs):
-            if d is None:
-                trees.append(Var(seeds.index(tuple(row))))
-            else:
-                oi, arg_indices = d
-                trees.append((alg.ops[oi].symbol,) + tuple(trees[i] for i in arg_indices))
+        trees = derivation_trees(alg.ops, seeds, rows, derivs)
     else:
         trees = [None] * len(rows)
 
@@ -403,74 +411,76 @@ class UniversalMeet:
         return self.f.apply(a, b)
 
 
-def _iterate_first_slot(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Least k with T_k(x, T_k(x, y)) = T_k(x, y), where T_{i+1}(x,y)=T(x,T_i(x,y))."""
-    rows = np.arange(n)[:, None]
-    t_i = table.copy()
+def _iterate_first_slot(tables: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Least k with T_k(x, T_k(x, y)) = T_k(x, y) in every table, where
+    T_1 = T and T_{i+1}(x, y) = T(x, T_i(x, y)); returns the tables T_k and k."""
+    rows = [np.arange(len(t))[:, None] for t in tables]
+    current = list(tables)
     k = 1
-    while True:
-        if np.array_equal(t_i[rows, t_i], t_i):
-            return t_i, k
-        t_i = table[rows, t_i]
+    while not all(np.array_equal(t[r, t], t) for t, r in zip(current, rows)):
+        current = [base[r, t] for base, t, r in zip(tables, current, rows)]
         k += 1
         if k > 1 << 20:  # unreachable for finite tables; guards a logic bug
             raise AssertionError("first-slot iteration failed to stabilize")
+    return current, k
+
+
+def _power_tree(base: TermTree | None, exponent: int) -> TermTree | None:
+    """The tree of T_exponent, where T_{i+1}(x, y) = T(x, T_i(x, y))."""
+    if base is None:
+        return None
+    out = base
+    for _ in range(exponent - 1):
+        out = substitute(base, {1: out})
+    return out
+
+
+def meet_from_binary(
+    t_tables: list[np.ndarray], t_tree: TermTree | None
+) -> tuple[list[tuple[int, ...]], TermTree | None, int, int]:
+    """The universal-meet construction from a binary term t(x,y) = c(x,y,..,y).
+
+    `t_tables` holds t as an n x n table in each algebra, `t_tree` its tree or
+    None.  Iterates t in the first variable to the least power t_k idempotent
+    in every table; q(x,y) := t_k(x, t_k(y,x)); iterates q likewise to
+    q_j =: f.  Both defining identities are then verified on every table.
+    Returns (f tables as flat row-major tuples, f tree, k, j).
+    """
+    t_k, k_exp = _iterate_first_slot(t_tables)
+    t_k_tree = _power_tree(t_tree, k_exp)
+    q_tables = [t[np.arange(len(t))[:, None], t.T] for t in t_k]
+    q_tree = None
+    if t_k_tree is not None:
+        inner = substitute(t_k_tree, {0: Var(1), 1: Var(0)})
+        q_tree = substitute(t_k_tree, {1: inner})
+    f_tables, j_exp = _iterate_first_slot(q_tables)
+    for f in f_tables:
+        rows = np.arange(len(f))[:, None]
+        if not np.array_equal(f[rows, f], f):
+            raise AssertionError("universal meet lost f(x,f(x,y)) = f(x,y)")
+        if not np.array_equal(f[f, rows], f):
+            raise AssertionError("universal meet lost f(f(x,y),x) = f(x,y)")
+    flat = [tuple(f.ravel().tolist()) for f in f_tables]
+    return flat, _power_tree(q_tree, j_exp), k_exp, j_exp
 
 
 def universal_meet(alg: FiniteAlgebra, cap: int = 4096) -> UniversalMeet:
-    """Construct the binary term f from a cyclic witness.
-
-    Steps: t(x,y) := c(x,y,..,y); iterate in the first variable to the least
-    idempotent power t_k; q(x,y) := t_k(x, t_k(y,x)); iterate q likewise to
-    q_j =: f.  Both defining identities are then verified on the full table.
-    """
+    """Construct the binary term f from the Taylor report's cyclic witness c,
+    by `meet_from_binary` on t(x,y) := c(x,y,..,y)."""
     report = taylor_report(alg, cap=cap)
     if not report.has_taylor:
         raise NoCyclicWitness(f"{alg.name} has no cyclic witness within caps")
     c = report.witness
     n = alg.size
     p = c.arity
-
-    t_table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            t_table[x, y] = c.apply(*((x,) + (y,) * (p - 1)))
+    t_table = np.array(
+        [[c.apply(x, *(y,) * (p - 1)) for y in range(n)] for x in range(n)], dtype=np.int64
+    )
     t_tree = None
     if c.tree is not None:
         t_tree = substitute(c.tree, {i: Var(1) for i in range(1, p)})
-
-    t_k, k_exp = _iterate_first_slot(t_table, n)
-
-    def iter_tree(base: TermTree | None, exponent: int) -> TermTree | None:
-        if base is None:
-            return None
-        out = base
-        for _ in range(exponent - 1):
-            out = substitute(base, {1: out})
-        return out
-
-    t_k_tree = iter_tree(t_tree, k_exp)
-
-    q_table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            q_table[x, y] = t_k[x, t_k[y, x]]
-    q_tree = None
-    if t_k_tree is not None:
-        inner = substitute(t_k_tree, {0: Var(1), 1: Var(0)})
-        q_tree = substitute(t_k_tree, {1: inner})
-
-    f_table, j_exp = _iterate_first_slot(q_table, n)
-    f_tree = iter_tree(q_tree, j_exp)
-
-    rows = np.arange(n)[:, None]
-    if not np.array_equal(f_table[rows, f_table], f_table):
-        raise AssertionError("universal meet lost f(x,f(x,y)) = f(x,y)")
-    if not np.array_equal(f_table[f_table, rows], f_table):
-        raise AssertionError("universal meet lost f(f(x,y),x) = f(x,y)")
-
-    f = TermOperation(2, tuple(int(v) for v in f_table.ravel()), f_tree)
-    return UniversalMeet(f, p, k_exp, j_exp)
+    (f_table,), f_tree, k_exp, j_exp = meet_from_binary([t_table], t_tree)
+    return UniversalMeet(TermOperation(2, f_table, f_tree), p, k_exp, j_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +609,7 @@ def condition_checks(alg: FiniteAlgebra, t: TermOperation, cap: int = 10) -> Con
                     t_quot = t_sub
                 else:
                     quot = quotient_algebra(sub, theta)
-                    t_quot = _push_term_to_quotient(t_sub, theta)
+                    t_quot = push_to_quotient(t_sub, theta)
                     if t_quot is None:
                         raise PreconditionViolated(
                             "t does not respect a congruence; not a term operation"
@@ -615,21 +625,22 @@ def condition_checks(alg: FiniteAlgebra, t: TermOperation, cap: int = 10) -> Con
     return ConditionReport(maj_ok, min_ok, maj_wit, min_wit)
 
 
-def _push_term_to_quotient(t: TermOperation, theta) -> TermOperation | None:
-    n = t.size()
+def push_to_quotient(t: TermOperation, theta) -> TermOperation | None:
+    """The action of t on the blocks of the partition theta, or None when t
+    does not respect theta (some choice of block representatives disagrees)."""
     reps = theta.block_representatives()
-    k = len(reps)
-    table = []
-    for blocks in itertools.product(range(k), repeat=3):
-        val = theta.blocks_of[t.apply(*(reps[b] for b in blocks))]
-        table.append(val)
-    # well-definedness: every representative choice must agree
-    for args in itertools.product(range(n), repeat=3):
-        blocks = tuple(theta.blocks_of[a] for a in args)
-        idx = (blocks[0] * k + blocks[1]) * k + blocks[2]
-        if theta.blocks_of[t.apply(*args)] != table[idx]:
+    blocks_of = theta.blocks_of
+    pushed = TermOperation(
+        t.arity,
+        tuple(
+            blocks_of[t.apply(*(reps[b] for b in blocks))]
+            for blocks in itertools.product(range(len(reps)), repeat=t.arity)
+        ),
+    )
+    for args in itertools.product(range(t.size()), repeat=t.arity):
+        if blocks_of[t.apply(*args)] != pushed.apply(*(blocks_of[a] for a in args)):
             return None
-    return TermOperation(3, tuple(table))
+    return pushed
 
 
 @dataclass(frozen=True)
