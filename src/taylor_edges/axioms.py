@@ -2,10 +2,22 @@
 
 Relational-axiom instances are monotone in the relation: the conclusion
 tuple lies in every admissible R iff it lies in the subproduct generated by
-the hypothesis tuples.  We still enumerate all subuniverses of small products
-(complete lectic enumeration up to a configurable size bound) because the
-catalog lives there and the exhaustive run doubles as a stress test of the
-enumerator; beyond the bound the generated subproduct decides exactly.
+the hypothesis tuples.  For Relational Axioms 1-2 we still enumerate all
+subuniverses of small products (complete lectic enumeration up to a
+configurable size bound) because the catalog lives there and the exhaustive
+run doubles as a stress test of the enumerator; beyond the bound the
+generated subproduct decides exactly.
+
+Relational Axiom 3 is decided from one closure per signature group.  Three
+tuples generate {t(s1, s2, s3) : t a ternary term}, so (a2, b2, c2) lies in
+the subproduct generated by (a1, b2, c2), (a2, b1, c2), (a2, b2, c1) exactly
+when one ternary term t has t(a1, a2, a2) = a2, t(b2, b1, b2) = b2 and
+t(c2, c2, c1) = c2.  The subproduct generated by the three projection rows
+over one coordinate per (algebra, sm-edge, slot) lists the values of every
+ternary term on every such pattern (projection commutes with Sg), so each
+instance is an AND of three bitmasks over its rows (`_ternary_masks`).  A
+group whose joint closure outgrows `_JOINT_TERNARY_ROWS` rows closes each
+instance in A x B x C on its own instead, with the same answers.
 
 Cross-algebra axioms (homomorphism and relational) only make sense between
 similar algebras, so the verifier partitions its catalog by signature and
@@ -32,6 +44,12 @@ from .errors import CapExceeded, SEdgeMismatch
 from .terms import free_algebra, has_majority_term, is_affine_algebra
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
+
+# Relational Axiom 3 falls back to one closure per instance when the joint
+# ternary closure of a signature group outgrows this many rows.  Catalogs of
+# minimal Taylor algebras stay at a handful of rows; the ternary clone of a
+# random algebra can grow like |A|**(3 * sm-edges) and passes it at once.
+_JOINT_TERNARY_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -157,8 +175,9 @@ def verify_edge_axioms(
         for left, right in itertools.product(group, repeat=2):
             if _relational_axioms_12(left, right, graphs, rec, enumeration_bound, subset_cap):
                 return rec.report()
+        masks = _ternary_masks(group, graphs)
         for triple in itertools.product(group, repeat=3):
-            if _relational_axiom_3(triple, graphs, rec):
+            if _relational_axiom_3(triple, graphs, rec, masks):
                 return rec.report()
     return rec.report()
 
@@ -375,15 +394,52 @@ def _relational_axioms_12(left, right, graphs, rec, bound, subset_cap) -> bool:
     return False
 
 
-def _relational_axiom_3(triple, graphs, rec) -> bool:
+def _ternary_masks(group, graphs) -> dict[FiniteAlgebra, list[list[tuple]]] | None:
+    """Per algebra X and slot p, X's sm-edges (x1, x2) each with a bitmask
+    over the rows of one closure: bit r is set when ternary term row r sends
+    the slot-p pattern (x1 at argument p, x2 elsewhere) to x2.  See the
+    module docstring for why Relational Axiom 3 needs nothing else.
+
+    None when the closure outgrows `_JOINT_TERNARY_ROWS`, and the caller
+    closes each instance on its own instead."""
+    sms = {alg: sorted(graphs[alg].proper("sm")) for alg in group}
+    keys = [(alg, edge, p) for alg, edges in sms.items() for edge in edges for p in range(3)]
+    masks = {}
+    if keys:
+        seeds = [tuple(x1 if j == p else x2 for _, (x1, x2), p in keys) for j in range(3)]
+        try:
+            rows = generate_subproduct(
+                [alg for alg, _, _ in keys], seeds, cap=_JOINT_TERNARY_ROWS
+            )
+        except CapExceeded:
+            return None
+        masks = {
+            key: sum(1 << r for r, row in enumerate(rows) if row[i] == key[1][1])
+            for i, key in enumerate(keys)
+        }
+    return {
+        alg: [[(edge, masks[alg, edge, p]) for edge in edges] for p in range(3)]
+        for alg, edges in sms.items()
+    }
+
+
+def _relational_axiom_3(triple, graphs, rec, masks) -> bool:
     a_alg, b_alg, c_alg = triple
-    sms = [sorted(graphs[x].proper("sm")) for x in triple]
+    if masks is None:  # the joint closure was too large: one closure per instance
+        slots = [[(edge, edge) for edge in sorted(graphs[x].proper("sm"))] for x in triple]
+
+        def holds(a, b, c):
+            seeds = [(a[0], b[1], c[1]), (a[1], b[0], c[1]), (a[1], b[1], c[0])]
+            return (a[1], b[1], c[1]) in generate_subproduct(triple, seeds)
+    else:
+        slots = [masks[x][p] for p, x in enumerate(triple)]
+
+        def holds(a, b, c):
+            return a & b & c
     mark = rec.mark()
-    for (a1, a2), (b1, b2), (c1, c2) in itertools.product(*sms):
+    for ((a1, a2), ma), ((b1, b2), mb), ((c1, c2), mc) in itertools.product(*slots):
         rec.bump("relational-axiom-3-instances")
-        seeds = [(a1, b2, c2), (a2, b1, c2), (a2, b2, c1)]
-        rows = generate_subproduct([a_alg, b_alg, c_alg], seeds)
-        if (a2, b2, c2) not in {tuple(r) for r in rows}:
+        if not holds(ma, mb, mc):
             if rec.record(CheckResult(
                 "relational-axiom-3", FAIL,
                 f"{a_alg.name}x{b_alg.name}x{c_alg.name}: sm-edges "

@@ -3,7 +3,8 @@
 Subcommands: analyze, edges, verify, csp minimize|solve, catalog.
 
 Exit codes: 0 all checks pass / solved; 1 counterexample or UNSAT;
-2 usage or parse error; 3 a cap was exceeded and the answer has unknowns.
+2 usage or parse error; 3 a cap was exceeded and the answer has unknowns
+(for verify: checks were skipped and none failed).
 The environment variable TAYLOR_EDGES_CAPS may hold default cap flags
 (same syntax as the command line); explicit flags win.
 """
@@ -199,14 +200,14 @@ def cmd_verify(args) -> int:
     for s in seeds:
         groups.setdefault(s.signature, []).append(s)
     checks = []
-    passed = True
-    capped = False
+    passed = True  # every check passed; skipped ones make this False
+    failed = False
     for group in groups.values():
         template = Template.hs_closure(group, size_cap=max(a.size for a in group))
         catalog = list(template.members)
         axiom_rep = verify_edge_axioms(catalog, cap=args.closure_cap)
         passed &= axiom_rep.passed
-        capped |= bool(axiom_rep.skipped)
+        failed |= bool(axiom_rep.failures)
         checks.extend(
             {"name": c.name, "status": c.status, "detail": c.detail}
             for c in axiom_rep.checks
@@ -214,7 +215,7 @@ def cmd_verify(args) -> int:
         for alg in catalog:
             thm_rep = verify_edge_theorems(alg, subset_cap=args.subset_cap, cap=args.closure_cap)
             passed &= thm_rep.passed
-            capped |= bool(thm_rep.skipped)
+            failed |= bool(thm_rep.failures)
             checks.extend(
                 {"name": c.name, "status": c.status, "detail": c.detail}
                 for c in thm_rep.checks
@@ -226,9 +227,9 @@ def cmd_verify(args) -> int:
         "checks": checks,
     }
     _write_out(args, _render(payload, args.format))
-    if not passed:
+    if failed:
         return COUNTEREXAMPLE
-    return CAPPED if capped else OK
+    return OK if passed else CAPPED
 
 
 def cmd_csp(args) -> int:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from taylor_edges.catalog import builtin_algebras
+from taylor_edges.algebra import product_algebra
+from taylor_edges.catalog import builtin_algebras, two_element_majority, z2_minority
 from taylor_edges.cli import main
 from taylor_edges.csp import Instance
 from taylor_edges.errors import ParseError
@@ -171,6 +172,17 @@ class TestCli:
         # both signature groups verified in one run
         assert main(["verify", str(catalog_file)]) == 0
         assert "passed: True" in capsys.readouterr().out
+
+    def test_verify_only_skipped_exit_three(self, tmp_path, capsys):
+        # z2minority x majority2 has checks skipped at the default caps and
+        # none failed: that is exit 3, not a counterexample
+        path = tmp_path / "z2minority_x_majority2.alg"
+        path.write_text(emit_algebra(product_algebra(z2_minority(), two_element_majority())))
+        assert main(["verify", str(path), "--format", "json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        statuses = {c["status"] for c in payload["checks"]}
+        assert statuses == {"pass", "skipped"}
+        assert payload["passed"] is False
 
     def test_edges_cap_exit_three(self, a1_file, capsys):
         # a closure cap of 2 cannot even finish the binary clones of the
