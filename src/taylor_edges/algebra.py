@@ -35,19 +35,24 @@ not depend on the tier:
   tuple, in enumeration order, that produced it.
 - The cap is checked after each chunk: once more than `cap` rows exist,
   `CapExceeded` is raised with every row found so far as `partial`.
+
+Derived tables are read, not evaluated: `flat_indices` lists the flat
+positions of every tuple over a list of arguments, and a subalgebra, a
+product, a homomorphism test or a relabelling reads the source table at that
+list and maps the values.  `push_table` does the same at the least
+representatives of a partition's blocks, and is the one congruence test.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import eq, getitem
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NotClosed, SignatureMismatch
+from .errors import CapExceeded, NotACongruence, NotClosed, SignatureMismatch
 
 # Element budget per vectorized closure chunk; keeps peak memory flat.  The
 # chunk boundaries decide which partial set a capped closure returns.
@@ -531,19 +536,22 @@ def is_subuniverse(alg: FiniteAlgebra, subset: Iterable[int]) -> bool:
 @dataclass(frozen=True)
 class SubuniverseEnumeration:
     subuniverses: tuple[frozenset[int], ...]  # lectic order, nonempty
-    proper_hypergraph_connected: bool
+    size: int  # of the enumerated algebra
+
+    @property
+    def proper_hypergraph_connected(self) -> bool:
+        """Are any two elements linked by a chain of pairwise-intersecting
+        proper subuniverses (the hypergraph of proper subuniverses, with
+        shared elements as adjacency)?"""
+        proper = [s for s in self.subuniverses if len(s) < self.size]
+        return _hypergraph_connected(self.size, proper)
 
 
 @functools.lru_cache(maxsize=None)
 def enumerate_subuniverses(
     alg: FiniteAlgebra, proper_only: bool = False, cap: int = 8
 ) -> SubuniverseEnumeration:
-    """All nonempty subuniverses by NextClosure over the generation operator.
-
-    The connectivity flag states whether any two elements of the algebra are
-    linked by a chain of pairwise-intersecting proper subuniverses (the
-    hypergraph of proper subuniverses, with shared elements as adjacency).
-    """
+    """All nonempty subuniverses by NextClosure over the generation operator."""
     n = alg.size
     if n > cap:
         raise CapExceeded(f"subuniverse enumeration capped at size {cap}, got {n}")
@@ -572,10 +580,8 @@ def enumerate_subuniverses(
             break
         current = nxt
 
-    proper = [s for s in closed if len(s) < n]
-    connected = _hypergraph_connected(n, proper)
-    subs = tuple(proper) if proper_only else tuple(closed)
-    return SubuniverseEnumeration(subs, connected)
+    subs = tuple(s for s in closed if len(s) < n) if proper_only else tuple(closed)
+    return SubuniverseEnumeration(subs, n)
 
 
 def _hypergraph_connected(n: int, edges: list[frozenset[int]]) -> bool:
@@ -598,50 +604,42 @@ def induced_subalgebra(alg: FiniteAlgebra, subset: frozenset) -> FiniteAlgebra:
     if not is_subuniverse(alg, elems):
         raise NotClosed(f"{sorted(subset)} is not a subuniverse of {alg.name}")
     old_to_new = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
     ops = []
     for op in alg.ops:
-        table = []
-        for args in itertools.product(elems, repeat=op.arity):
-            table.append(old_to_new[op.apply(*args)])
-        ops.append(OperationTable(op.symbol, op.arity, tuple(table)))
+        values = map(op.table.__getitem__, flat_indices(elems, alg.size, op.arity))
+        ops.append(OperationTable(op.symbol, op.arity, tuple(map(old_to_new.__getitem__, values))))
     name = f"{alg.name}|{{{','.join(map(str, elems))}}}"
-    return FiniteAlgebra(name, k, tuple(ops))
+    return FiniteAlgebra(name, len(elems), tuple(ops))
 
 
 def quotient_algebra(alg: FiniteAlgebra, partition: "Partition") -> FiniteAlgebra:
     """Quotient by a congruence; blocks renamed by ascending least representative."""
-    from .congruences import is_congruence  # local import to avoid a cycle
-
-    if not is_congruence(alg, partition):
-        from .errors import NotACongruence
-
+    tables = [push_table(op.table, alg.size, op.arity, partition) for op in alg.ops]
+    if partition.size != alg.size or None in tables:
         raise NotACongruence(f"partition {partition.blocks_of} is not a congruence of {alg.name}")
-    reps = partition.block_representatives()
-    k = len(reps)
-    ops = []
-    for op in alg.ops:
-        table = []
-        for blocks in itertools.product(range(k), repeat=op.arity):
-            args = [reps[b] for b in blocks]
-            table.append(partition.blocks_of[op.apply(*args)])
-        ops.append(OperationTable(op.symbol, op.arity, tuple(table)))
-    return FiniteAlgebra(f"{alg.name}/theta{partition.block_count()}", k, tuple(ops))
+    k = partition.block_count()
+    ops = tuple(OperationTable(op.symbol, op.arity, t) for op, t in zip(alg.ops, tables))
+    return FiniteAlgebra(f"{alg.name}/theta{k}", k, ops)
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; element (x, y) is numbered x*|B| + y (lexicographic)."""
     if a.signature != b.signature:
         raise SignatureMismatch(f"{a.name} and {b.name} have different signatures")
-    n = a.size * b.size
+    nb = b.size
+    n = a.size * nb
+    left = [x // nb for x in range(n)]
+    right = [x % nb for x in range(n)]
     ops = []
     for oa, ob in zip(a.ops, b.ops):
-        table = []
-        for args in itertools.product(range(n), repeat=oa.arity):
-            xa = [arg // b.size for arg in args]
-            xb = [arg % b.size for arg in args]
-            table.append(oa.apply(*xa) * b.size + ob.apply(*xb))
-        ops.append(OperationTable(oa.symbol, oa.arity, tuple(table)))
+        ta, tb = oa.table, ob.table
+        table = tuple(
+            ta[i] * nb + tb[j]
+            for i, j in zip(
+                flat_indices(left, a.size, oa.arity), flat_indices(right, nb, oa.arity)
+            )
+        )
+        ops.append(OperationTable(oa.symbol, oa.arity, table))
     return FiniteAlgebra(f"{a.name}x{b.name}", n, tuple(ops))
 
 
@@ -673,6 +671,32 @@ def tuple_to_index(t: Sequence[int], sizes: Sequence[int]) -> int:
     for v, s in zip(t, sizes):
         idx = idx * s + v
     return idx
+
+
+def flat_indices(args: Sequence[int], n: int, arity: int) -> list[int]:
+    """The flat positions, in a table of side n, of every arity-tuple over
+    `args`, listed in row-major order of the tuples' positions in `args`."""
+    idxs = [0]
+    for _ in range(arity):
+        idxs = [q * n + x for q in idxs for x in args]
+    return idxs
+
+
+def push_table(
+    table: Sequence[int], n: int, arity: int, partition: "Partition"
+) -> tuple[int, ...] | None:
+    """The action of a table of side n on the blocks of `partition`, read at
+    the blocks' least representatives; None when the table does not respect
+    the partition, i.e. blocks_of[t(x)] != pushed[blocks_of[x]] for some x."""
+    if partition.size != n:
+        return None
+    blocks_of = partition.blocks_of
+    reps = partition.block_representatives()
+    pushed = tuple(map(blocks_of.__getitem__, map(table.__getitem__, flat_indices(reps, n, arity))))
+    through = map(pushed.__getitem__, flat_indices(blocks_of, len(reps), arity))
+    if not all(map(eq, map(blocks_of.__getitem__, table), through)):
+        return None
+    return pushed
 
 
 # ---------------------------------------------------------------------------

@@ -114,10 +114,10 @@ def _semilattice_term_witness(alg: FiniteAlgebra, a: int, b: int, cap: int) -> b
     return any(t.apply(a, b) == b and t.apply(b, a) == b for t in free.elements)
 
 
-def _structures(alg: FiniteAlgebra, subset_cap: int, cap: int):
+def _structures(alg: FiniteAlgebra, cap: int):
     """(affine subuniverses, majority subuniverses, unknown-status subuniverses)."""
     affine, majority, unknown = [], [], []
-    enum = enumerate_subuniverses(alg, cap=max(subset_cap, alg.size))
+    enum = enumerate_subuniverses(alg, cap=alg.size)
     for sub_set in enum.subuniverses:
         if len(sub_set) < 2:
             continue
@@ -137,7 +137,6 @@ def _structures(alg: FiniteAlgebra, subset_cap: int, cap: int):
 def verify_edge_axioms(
     catalog: list[FiniteAlgebra],
     graphs: dict[FiniteAlgebra, EdgeGraph] | None = None,
-    subset_cap: int = 8,
     cap: int = 4096,
     enumeration_bound: int = 16,
     fail_fast: bool = False,
@@ -162,7 +161,7 @@ def verify_edge_axioms(
         usable.append(alg)
 
     for alg in usable:
-        if _base_axioms(alg, graphs[alg], rec, subset_cap, cap):
+        if _base_axioms(alg, graphs[alg], rec, cap):
             return rec.report()
 
     groups: dict[tuple, list[FiniteAlgebra]] = {}
@@ -173,7 +172,7 @@ def verify_edge_axioms(
             if _homomorphism_axioms(src, dst, graphs, rec, cap):
                 return rec.report()
         for left, right in itertools.product(group, repeat=2):
-            if _relational_axioms_12(left, right, graphs, rec, enumeration_bound, subset_cap):
+            if _relational_axioms_12(left, right, graphs, rec, enumeration_bound):
                 return rec.report()
         masks = _ternary_masks(group, graphs)
         for triple in itertools.product(group, repeat=3):
@@ -182,14 +181,14 @@ def verify_edge_axioms(
     return rec.report()
 
 
-def _base_axioms(alg, graph, rec, subset_cap, cap) -> bool:
+def _base_axioms(alg, graph, rec, cap) -> bool:
     name = alg.name
     if graph.unknown:
         return rec.record(
             CheckResult("base-axioms", SKIP, f"{name}: {len(graph.unknown)} unknown edges")
         )
     try:
-        affine, majority, unknown = _structures(alg, subset_cap, cap)
+        affine, majority, unknown = _structures(alg, cap)
     except CapExceeded as exc:
         return rec.record(CheckResult("base-axioms", SKIP, f"{name}: {exc}"))
     for sub_set in unknown:
@@ -325,24 +324,24 @@ def _homomorphism_axioms(src, dst, graphs, rec, cap) -> bool:
     return False
 
 
-def _product_subuniverses(left, right, bound, subset_cap):
+def _product_subuniverses(left, right, bound):
     """All subuniverses of left x right as pair sets, or None above the bound."""
     if left.size * right.size > bound:
         return None
     prod = product_algebra(left, right)
-    enum = enumerate_subuniverses(prod, cap=max(prod.size, subset_cap, 16))
+    enum = enumerate_subuniverses(prod, cap=prod.size)
     out = []
     for s in enum.subuniverses:
         out.append(frozenset((x // right.size, x % right.size) for x in s))
     return out
 
 
-def _relational_axioms_12(left, right, graphs, rec, bound, subset_cap) -> bool:
+def _relational_axioms_12(left, right, graphs, rec, bound) -> bool:
     gl, gr = graphs[left], graphs[right]
     as_l = sorted(gl.proper("as"))
     as_r = sorted(gr.proper("as"))
     sm_r = sorted(gr.proper("sm"))
-    subs = _product_subuniverses(left, right, bound, subset_cap)
+    subs = _product_subuniverses(left, right, bound)
     mode = "enumerated" if subs is not None else "generated"
     rec.bump(f"relational-products-{mode}")
     mark = rec.mark()

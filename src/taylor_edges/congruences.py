@@ -21,29 +21,20 @@ from .algebra import (
     FiniteAlgebra,
     Partition,
     UnionFind,
+    flat_indices,
     generate_subproduct,
     induced_subalgebra,
+    push_table,
     quotient_algebra,
 )
 from .errors import CapExceeded, NotACongruence, SignatureMismatch
 
 
 def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
-    """Compatibility via single-coordinate substitutions (enough by transitivity)."""
-    if p.size != alg.size:
-        return False
-    n = alg.size
-    same_pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if p.same(a, b)]
-    for op in alg.ops:
-        k = op.arity
-        for a, b in same_pairs:
-            for pos in range(k):
-                for rest in itertools.product(range(n), repeat=k - 1):
-                    args_a = rest[:pos] + (a,) + rest[pos:]
-                    args_b = rest[:pos] + (b,) + rest[pos:]
-                    if not p.same(op.apply(*args_a), op.apply(*args_b)):
-                        return False
-    return True
+    """Compatibility: every operation pushes to the blocks of p."""
+    return p.size == alg.size and all(
+        push_table(op.table, alg.size, op.arity, p) is not None for op in alg.ops
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,9 +239,9 @@ def is_homomorphism(src: FiniteAlgebra, dst: FiniteAlgebra, mapping: tuple[int, 
     if src.signature != dst.signature:
         return False
     for op_s, op_d in zip(src.ops, dst.ops):
-        for args in itertools.product(range(src.size), repeat=op_s.arity):
-            if mapping[op_s.apply(*args)] != op_d.apply(*(mapping[a] for a in args)):
-                return False
+        through = map(op_d.table.__getitem__, flat_indices(mapping, dst.size, op_s.arity))
+        if list(map(mapping.__getitem__, op_s.table)) != list(through):
+            return False
     return True
 
 

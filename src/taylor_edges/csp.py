@@ -22,6 +22,7 @@ from .algebra import (
     FiniteAlgebra,
     Partition,
     enumerate_subuniverses,
+    flat_indices,
     generate_subproduct,
     induced_subalgebra,
     OperationTable,
@@ -82,10 +83,7 @@ def canonical_key(alg: FiniteAlgebra) -> tuple:
         tables = []
         for op in alg.ops:
             if op.arity not in indices:
-                idxs = [0]
-                for _ in range(op.arity):
-                    idxs = [q * n + x for q in idxs for x in inv]
-                indices[op.arity] = idxs
+                indices[op.arity] = flat_indices(inv, n, op.arity)
             values = map(op.table.__getitem__, indices[op.arity])
             tables.append(tuple(map(perm.__getitem__, values)))
         key = tuple(tables)
@@ -555,12 +553,11 @@ def retract_instance(instance: Instance, maps: ConsistentMapSet) -> Instance:
         m = maps.map_of(v)
         image = sorted(set(m))
         renum[v] = {e: i for i, e in enumerate(image)}
+        to_image = [renum[v][x] for x in m]  # renum[v] after m
         ops = []
         for op in alg.ops:
-            table = tuple(
-                renum[v][m[op.apply(*args)]]
-                for args in itertools.product(image, repeat=op.arity)
-            )
+            values = map(op.table.__getitem__, flat_indices(image, alg.size, op.arity))
+            table = tuple(map(to_image.__getitem__, values))
             ops.append(OperationTable(op.symbol, op.arity, table))
         new_domains.append((v, FiniteAlgebra(f"{alg.name}@{v}", len(image), tuple(ops))))
 

@@ -20,8 +20,10 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
+    flat_indices,
     generate_subproduct,
     induced_subalgebra,
+    push_table,
     sg_closure,
     table_side,
 )
@@ -589,13 +591,8 @@ def condition_checks(alg: FiniteAlgebra, t: TermOperation, cap: int = 10) -> Con
             renum = {e: i for i, e in enumerate(elems)}
             # t restricted to the subuniverse (term operations respect closure)
             try:
-                t_sub = TermOperation(
-                    3,
-                    tuple(
-                        renum[t.apply(*args)]
-                        for args in itertools.product(elems, repeat=3)
-                    ),
-                )
+                values = map(t.table.__getitem__, flat_indices(elems, n, 3))
+                t_sub = TermOperation(3, tuple(map(renum.__getitem__, values)))
             except KeyError:
                 raise PreconditionViolated(
                     "t does not preserve a generated subuniverse; not a term operation"
@@ -628,19 +625,8 @@ def condition_checks(alg: FiniteAlgebra, t: TermOperation, cap: int = 10) -> Con
 def push_to_quotient(t: TermOperation, theta) -> TermOperation | None:
     """The action of t on the blocks of the partition theta, or None when t
     does not respect theta (some choice of block representatives disagrees)."""
-    reps = theta.block_representatives()
-    blocks_of = theta.blocks_of
-    pushed = TermOperation(
-        t.arity,
-        tuple(
-            blocks_of[t.apply(*(reps[b] for b in blocks))]
-            for blocks in itertools.product(range(len(reps)), repeat=t.arity)
-        ),
-    )
-    for args in itertools.product(range(t.size()), repeat=t.arity):
-        if blocks_of[t.apply(*args)] != pushed.apply(*(blocks_of[a] for a in args)):
-            return None
-    return pushed
+    pushed = push_table(t.table, t.size(), t.arity, theta)
+    return None if pushed is None else TermOperation(t.arity, pushed)
 
 
 @dataclass(frozen=True)
