@@ -20,7 +20,13 @@ Closures come in three tiers, each picked from the size of its input:
   elements; a chunk gathers all its coordinates in one fancy-index over the
   stacked tables of the distinct coordinate algebras, in slices of
   `_GATHER_SLICE` index entries, and collapses to its distinct rows with
-  `np.unique`.
+  `np.unique` over one narrow integer key per row, never over whole rows.
+  When the product of the coordinate sizes is at most 2**62 the key is the
+  row's mixed-radix value in the narrowest unsigned dtype that holds it.
+  Otherwise it is a hash of the row's 8-byte words; every row is then
+  checked byte for byte against the first row of its hash group, the groups'
+  first rows are sorted among themselves, and any mismatch falls back to
+  `np.unique` over whole rows, so no hash value decides a row or an order.
 
 Every tier of `generate_subproduct` keeps one contract, so its output does
 not depend on the tier:
@@ -248,6 +254,25 @@ def _block_args(q: int, ranges) -> tuple[int, ...]:
     return tuple(reversed(args))
 
 
+def _hash_multipliers(count: int) -> np.ndarray:
+    """`count` fixed odd 64-bit multipliers (the splitmix64 sequence from 0),
+    the same on every run and platform."""
+    mask = (1 << 64) - 1
+    out, x = [], 0
+    for _ in range(count):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31) | 1)
+    return np.asarray(out, dtype=np.uint64)
+
+
+def _hash_rows(words: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per row of 8-byte words: sum of word * multiplier,
+    wrapping mod 2**64.  Only groups rows; it never decides an order."""
+    return words @ mults
+
+
 class _WideTables:
     """Numpy state of one closure's wide chunks.
 
@@ -256,6 +281,19 @@ class _WideTables:
     coordinate in one fancy-index instead of one per coordinate.  The index
     takes the narrowest unsigned dtype that holds the stacked table's length;
     no partial index exceeds the final one, so the arithmetic cannot wrap.
+
+    A chunk collapses to its distinct rows without sorting whole rows.  When
+    the product of the coordinate sizes is at most 2**62, a row's mixed-radix
+    value is built by Horner steps in the narrowest unsigned dtype that holds
+    it, and `np.unique` sorts that key (a radix sort for 16 bits or fewer);
+    key order is lexicographic row order.  Otherwise the gather buffer is
+    zero-padded to whole 8-byte words, each row is hashed from its words with
+    fixed odd multipliers, and `np.unique` groups the rows by hash.  Every
+    row is then compared byte for byte with its group's first row: when all
+    match, the groups are the distinct rows, and their first rows are put in
+    lexicographic order by sorting only those few rows; on any mismatch the
+    chunk falls back to `np.unique` over whole rows.  Either way the answer
+    and its order never depend on a hash value.
     """
 
     def __init__(self, coords: Sequence[FiniteAlgebra], sizes: Sequence[int]):
@@ -285,29 +323,34 @@ class _WideTables:
                 starts = np.cumsum([0] + [len(t) for t in tabs[:-1]]).astype(dtype)
                 offsets = starts[[slot[id(c)] for c in coords]]
             self.ops.append((table, dtype, mult, offsets))
-        # rows pack into a single int64 when the coordinate value space is small
-        # enough; sorting scalars is much faster than sorting void records
-        packable = 1
+        product = 1
         for s in sizes:
-            packable *= s
-            if packable > 1 << 62:
+            product *= s
+            if product > 1 << 62:
                 break
-        self.strides = None
-        if packable <= 1 << 62:
-            self.strides = np.empty(self.m, dtype=np.int64)
-            acc = 1
-            for j in range(self.m - 1, -1, -1):
-                self.strides[j] = acc
-                acc *= sizes[j]
-        self.void_t = np.dtype((np.void, self.m))
+        self.sizes = list(sizes)
+        self.key_dtype = None  # of the mixed-radix key; None when rows are hashed
+        self.width = self.m  # bytes per row of the gather buffer
+        if product <= 1 << 62:
+            for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+                if product <= 1 << 8 * np.dtype(dtype).itemsize:
+                    self.key_dtype = dtype
+                    break
+        else:
+            self.width = -(-self.m // 8) * 8
+            self.mults = _hash_multipliers(self.width // 8)
+        self.void_t = np.dtype((np.void, self.width))
 
     def gather(self, oi: int, arr: np.ndarray, arg_idx: list[np.ndarray]) -> np.ndarray:
         """Op `oi` applied coordinatewise to rows arr[arg_idx[0]], arr[arg_idx[1]], ...
 
-        The index is built in slices of at most _GATHER_SLICE entries.
+        Returns a buffer of `width` bytes per row: the m coordinates, then
+        zeros.  The index is built in slices of at most _GATHER_SLICE entries.
         """
         count = len(arg_idx[0])
-        out = np.empty((count, self.m), dtype=np.uint8)
+        buf = np.empty((count, self.width), dtype=np.uint8)
+        buf[:, self.m:] = 0
+        out = buf[:, : self.m]
         table, dtype, mult, offsets = self.ops[oi]
         step = max(1, _GATHER_SLICE // self.m)
         for s in range(0, count, step):
@@ -319,18 +362,26 @@ class _WideTables:
             if offsets is not None:
                 idx += offsets
             np.take(table, idx, out=out[s:e])
-        return out
+        return buf
 
-    def distinct_first(self, out: np.ndarray) -> np.ndarray:
-        """Positions of the first occurrence of each distinct row of `out`,
-        ordered by ascending row."""
-        if self.strides is not None:
-            _, first = np.unique(out.astype(np.int64) @ self.strides, return_index=True)
-        else:
-            _, first = np.unique(
-                np.ascontiguousarray(out).view(self.void_t).ravel(), return_index=True
-            )
-        return first
+    def distinct_first(self, buf: np.ndarray) -> np.ndarray:
+        """Positions of the first occurrence of each distinct row of a buffer
+        from `gather`, ordered by ascending row."""
+        if self.key_dtype is not None:
+            key = buf[:, 0].astype(self.key_dtype)
+            for j in range(1, self.m):
+                key *= self.sizes[j]
+                key += buf[:, j]
+            return np.unique(key, return_index=True)[1]
+        words = buf.view(np.uint64)
+        _, first, group = np.unique(
+            _hash_rows(words, self.mults), return_index=True, return_inverse=True
+        )
+        step = max(1, _GATHER_SLICE // words.shape[1])
+        for s in range(0, len(words), step):
+            if not np.array_equal(words[s : s + step], words[first[group[s : s + step]]]):
+                return np.unique(buf.view(self.void_t).ravel(), return_index=True)[1]
+        return first[np.argsort(buf[first].view(self.void_t).ravel())]
 
 
 def generate_subproduct(
@@ -425,10 +476,11 @@ def generate_subproduct(
                         arg_idx.append(rem % span + lo)
                         rem = rem // span
                     arg_idx.reverse()
-                    out = wide.gather(oi, arr, arg_idx)
+                    buf = wide.gather(oi, arr, arg_idx)
+                    out = buf[:, :m]
                     # collapse the chunk to its distinct rows before touching
                     # the (python-level) global index
-                    for rr in wide.distinct_first(out):
+                    for rr in wide.distinct_first(buf):
                         key = out[rr].tobytes()
                         if key not in index:
                             index[key] = cur + len(new_rows)

@@ -6,7 +6,10 @@ the hypothesis tuples.  For Relational Axioms 1-2 we still enumerate all
 subuniverses of small products (complete lectic enumeration up to a
 configurable size bound) because the catalog lives there and the exhaustive
 run doubles as a stress test of the enumerator; beyond the bound the
-generated subproduct decides exactly.
+generated subproduct decides exactly.  Each unordered pair {L, R} is
+enumerated once per verification: the subuniverses of R x L are those of
+L x R transposed, and sorting them by the lectic key sum(2**(n-1-x)), x the
+index of a pair in R x L, puts them in the order NextClosure would list them.
 
 Relational Axiom 3 is decided from one closure per signature group.  Three
 tuples generate {t(s1, s2, s3) : t a ternary term}, so (a2, b2, c2) lies in
@@ -171,8 +174,10 @@ def verify_edge_axioms(
         for src, dst in itertools.product(group, repeat=2):
             if _homomorphism_axioms(src, dst, graphs, rec, cap):
                 return rec.report()
+        known: dict[tuple[FiniteAlgebra, FiniteAlgebra], list] = {}
         for left, right in itertools.product(group, repeat=2):
-            if _relational_axioms_12(left, right, graphs, rec, enumeration_bound):
+            subs = _product_subuniverses(left, right, enumeration_bound, known)
+            if _relational_axioms_12(left, right, graphs, rec, subs):
                 return rec.report()
         masks = _ternary_masks(group, graphs)
         for triple in itertools.product(group, repeat=3):
@@ -324,24 +329,38 @@ def _homomorphism_axioms(src, dst, graphs, rec, cap) -> bool:
     return False
 
 
-def _product_subuniverses(left, right, bound):
-    """All subuniverses of left x right as pair sets, or None above the bound."""
+def _product_subuniverses(left, right, bound, known):
+    """All subuniverses of left x right as pair sets in lectic order, or None
+    above the bound.
+
+    `known` maps the ordered pairs listed earlier in the same verification to
+    their lists.  When it holds right x left, that list is transposed and
+    sorted by the lectic key sum(2**(n-1-x)), x = a*|right| + b the index of
+    (a, b) in left x right, instead of enumerating again."""
     if left.size * right.size > bound:
         return None
-    prod = product_algebra(left, right)
-    enum = enumerate_subuniverses(prod, cap=prod.size)
-    out = []
-    for s in enum.subuniverses:
-        out.append(frozenset((x // right.size, x % right.size) for x in s))
-    return out
+    nr = right.size
+    if (right, left) in known:
+        n = left.size * nr
+        subs = sorted(
+            (frozenset((a, b) for b, a in s) for s in known[right, left]),
+            key=lambda s: sum(1 << (n - 1 - a * nr - b) for a, b in s),
+        )
+    else:
+        prod = product_algebra(left, right)
+        enum = enumerate_subuniverses(prod, cap=prod.size)
+        subs = [frozenset((x // nr, x % nr) for x in s) for s in enum.subuniverses]
+    known[left, right] = subs
+    return subs
 
 
-def _relational_axioms_12(left, right, graphs, rec, bound) -> bool:
+def _relational_axioms_12(left, right, graphs, rec, subs) -> bool:
+    """Relational Axioms 1-2 on left x right; `subs` lists its subuniverses
+    (from `_product_subuniverses`), or is None to decide by generation."""
     gl, gr = graphs[left], graphs[right]
     as_l = sorted(gl.proper("as"))
     as_r = sorted(gr.proper("as"))
     sm_r = sorted(gr.proper("sm"))
-    subs = _product_subuniverses(left, right, bound)
     mode = "enumerated" if subs is not None else "generated"
     rec.bump(f"relational-products-{mode}")
     mark = rec.mark()
