@@ -17,10 +17,23 @@ Closures come in three tiers, each picked from the size of its input:
   reduce to it.  A block whose argument tuples times coordinates is at most
   `_NARROW_BLOCK_WORK` is evaluated in plain Python over nested tables.
 - Wide chunks.  Larger blocks are cut into chunks of `_CHUNK_BUDGET`
-  elements; a chunk gathers all its coordinates in one fancy-index over the
-  stacked tables of the distinct coordinate algebras, in slices of
-  `_GATHER_SLICE` index entries, and collapses to its distinct rows with
-  `np.unique` over one narrow integer key per row, never over whole rows.
+  elements.  In a block of op t, each argument prefix (all but the last
+  argument) fixes one *section*: per coordinate, the row z -> t(prefix, z)
+  of the coordinate's table.  A chunk builds its prefixes' sections with one
+  row gather per slice of `_GATHER_SLICE` bytes, skips every prefix whose
+  section an earlier prefix of the round had (for the same op and the same
+  range of the last argument), and reads the rows of the others from their
+  sections with one `np.take` over a per-round index of the argument rows.
+  Skipping is exact: a skipped prefix's rows repeat, with the same last
+  argument, rows at earlier positions, which are already known or are found
+  first in this chunk, so each chunk keeps its new rows, their first
+  positions and its cap check.  Repeats are found within a slice by the
+  sections' own keys (below) and across slices and chunks by a dict local
+  to the round, from exact section bytes to the first (block, prefix) that
+  had them, holding at most `_SECTION_BUDGET` bytes; a prefix cut by a chunk
+  boundary finds its own entry and is evaluated again in the next chunk.
+  The chunk then collapses to its distinct rows with `np.unique` over one
+  narrow integer key per row, never over whole rows.
   When the product of the coordinate sizes is at most 2**62 the key is the
   row's mixed-radix value in the narrowest unsigned dtype that holds it.
   Otherwise it is a hash of the row's 8-byte words; every row is then
@@ -66,8 +79,11 @@ _CHUNK_BUDGET = 1 << 22
 # A block of at most this many (argument tuple, coordinate) lookups is
 # evaluated in plain Python, where numpy's per-call set-up would dominate.
 _NARROW_BLOCK_WORK = 2048
-# Entries per slice of a wide chunk's gather index; small enough to stay in cache.
+# Bytes of sections built, and 8-byte words compared by the hash check, per
+# slice of a wide chunk; small enough to stay in cache.
 _GATHER_SLICE = 1 << 17
+# Bytes of distinct sections one closure round remembers to skip repeats.
+_SECTION_BUDGET = 1 << 22
 # Algebras up to this size close plain sets in Python; larger ones in numpy.
 _SET_CLOSURE_PYTHON_MAX = 8
 
@@ -273,27 +289,112 @@ def _hash_rows(words: np.ndarray, mults: np.ndarray) -> np.ndarray:
     return words @ mults
 
 
+class _RowKeys:
+    """Exact grouping of the equal rows of a uint8 buffer by one narrow key per row.
+
+    `radices[j]` bounds the values of column j.  When the product of the
+    radices is at most 2**62, a row's key is its mixed-radix value, built by
+    Horner steps over the columns of radix above 1 in the narrowest unsigned
+    dtype that holds it, and `np.unique` sorts that key (a radix sort for 16
+    bits or fewer); key order is lexicographic row order.  Otherwise a buffer
+    holds `width` bytes per row, the columns zero-padded to whole 8-byte
+    words; each row is hashed from its words with fixed odd multipliers and
+    `np.unique` groups the rows by hash.  Every row is then compared byte for
+    byte with its group's first row: when all match, the groups are the
+    distinct rows; on any mismatch the buffer falls back to `np.unique` over
+    whole rows.  Either way no hash value decides a row or an order.
+    """
+
+    def __init__(self, radices: Sequence[int]):
+        self.radices = list(radices)
+        self.cols = [j for j, r in enumerate(radices) if r > 1]  # of the packed key
+        product = 1
+        for r in radices:
+            product *= r
+            if product > 1 << 62:
+                break
+        self.key_dtype = None  # of the mixed-radix key; None when rows are hashed
+        self.width = len(radices)  # bytes per row of a buffer
+        if product <= 1 << 62:
+            for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+                if product <= 1 << 8 * np.dtype(dtype).itemsize:
+                    self.key_dtype = dtype
+                    break
+        else:
+            self.width = -(-len(radices) // 8) * 8
+            self.mults = _hash_multipliers(self.width // 8)
+        self.void_t = np.dtype((np.void, self.width))
+
+    def distinct_first(self, buf: np.ndarray) -> np.ndarray:
+        """Positions of the first occurrence of each distinct row, ordered by ascending row."""
+        first, _, ordered = self._groups(buf, inverse=False)
+        if ordered:
+            return first
+        return first[np.argsort(buf[first].view(self.void_t).ravel())]
+
+    def first_equal(self, buf: np.ndarray) -> np.ndarray:
+        """Per row, the position of the first row equal to it."""
+        first, group, _ = self._groups(buf, inverse=True)
+        return first[group]
+
+    def _groups(self, buf: np.ndarray, inverse: bool):
+        """(first, group, ordered): the first position of each distinct row;
+        with `inverse`, each row's index into `first` (else None); and whether
+        `first` is in ascending row order."""
+        if self.key_dtype is not None:
+            cols = self.cols or [0]  # all radices 1: every row is zeros
+            key = buf[:, cols[0]].astype(self.key_dtype)
+            for j in cols[1:]:
+                key *= self.radices[j]
+                key += buf[:, j]
+            _, first, *group = np.unique(key, return_index=True, return_inverse=inverse)
+            return first, group[0] if inverse else None, True
+        words = buf.view(np.uint64)
+        _, first, group = np.unique(
+            _hash_rows(words, self.mults), return_index=True, return_inverse=True
+        )
+        step = max(1, _GATHER_SLICE // words.shape[1])
+        for s in range(0, len(words), step):
+            if not np.array_equal(words[s : s + step], words[first[group[s : s + step]]]):
+                void = buf.view(self.void_t).ravel()
+                _, first, group = np.unique(void, return_index=True, return_inverse=True)
+                return first, group, True
+        return first, group, False
+
+
 class _WideTables:
     """Numpy state of one closure's wide chunks.
 
-    Per op, the tables of the distinct coordinate algebras are stacked into one
-    uint8 vector with an offset per coordinate, so a chunk gathers every
-    coordinate in one fancy-index instead of one per coordinate.  The index
-    takes the narrowest unsigned dtype that holds the stacked table's length;
-    no partial index exceeds the final one, so the arithmetic cannot wrap.
+    In a block of op t, the argument tuple at a position splits into a prefix
+    (every argument but the last) and a last argument l.  The prefix fixes,
+    per coordinate c, the unary map z -> t(prefix at c, z), which is one row of
+    c's table viewed as rows of n_c entries.  A prefix's *section* puts those
+    rows side by side, nmax entries per coordinate (zeros past n_c), then
+    blocks of zeros up to a whole number of 8-byte words.  Per op, the tables
+    of the distinct coordinate algebras are stacked, as rows of nmax entries,
+    over one zero row, so a slice of prefixes reads all its sections with one
+    row gather: block c of a section is row (offset of c's algebra + the
+    prefix's mixed-radix value at c), and the pad blocks read the zero row.
 
-    A chunk collapses to its distinct rows without sorting whole rows.  When
-    the product of the coordinate sizes is at most 2**62, a row's mixed-radix
-    value is built by Horner steps in the narrowest unsigned dtype that holds
-    it, and `np.unique` sorts that key (a radix sort for 16 bits or fewer);
-    key order is lexicographic row order.  Otherwise the gather buffer is
-    zero-padded to whole 8-byte words, each row is hashed from its words with
-    fixed odd multipliers, and `np.unique` groups the rows by hash.  Every
-    row is then compared byte for byte with its group's first row: when all
-    match, the groups are the distinct rows, and their first rows are put in
-    lexicographic order by sorting only those few rows; on any mismatch the
-    chunk falls back to `np.unique` over whole rows.  Either way the answer
-    and its order never depend on a hash value.
+    The row at (prefix, l) is the section read at `idx[l]`, where
+    idx[l, c] = c*nmax + arr[l, c], and the columns past m (zero padding of
+    hashed rows) point at the zero entry `self.zero`.  `extend` grows `arr`
+    and `idx` once per round, and a chunk reads the rows of its evaluated
+    prefixes with `np.take(sections, idx[lo:hi], axis=1)`.
+
+    A prefix is skipped when an earlier prefix of the round, for the same op
+    and the same range of the last argument, had the same section: each of
+    its rows then sits, with the same l, at an earlier position, in this chunk
+    or an earlier one, so it is already known or is found first there.  A
+    chunk therefore keeps its new rows, their first positions and its cap
+    check.  (Within a round every range ends at the round's row count, so
+    the range's start names it.)  Sections are built in slices of at most
+    _GATHER_SLICE bytes; equal sections within a slice are found by
+    `first_equal`, across slices
+    and chunks by a dict local to the round, from exact section bytes to the
+    first (block, prefix) that had them, holding at most _SECTION_BUDGET bytes
+    of sections.  The identity check keeps a prefix that spans a chunk
+    boundary: the second chunk finds its own entry and evaluates the rest.
     """
 
     def __init__(self, coords: Sequence[FiniteAlgebra], sizes: Sequence[int]):
@@ -303,85 +404,142 @@ class _WideTables:
             if id(c) not in slot:
                 slot[id(c)] = len(algebras)
                 algebras.append(c)
-        self.m = len(coords)
-        # per op: (stacked table, index dtype, size multiplier, offsets or None)
-        self.ops: list[tuple[np.ndarray, type, object, np.ndarray | None]] = []
+        m = self.m = len(coords)
+        nmax = max(sizes)
+        self.rows = _RowKeys(sizes)
+        self.zero = m * nmax  # a zero entry of every section
+        # blocks of nmax entries per section: the m coordinates, then zeros
+        self.blocks = m + 1
+        while self.blocks * nmax % 8:
+            self.blocks += 1
+        self.sections = _RowKeys(
+            [n if z < n else 1 for n in sizes for z in range(nmax)]
+            + [1] * ((self.blocks - m) * nmax)
+        )
+        # a scalar multiplier keeps numpy's inner loop over the whole slice
+        # instead of over one row's m coordinates
+        self.mult = sizes[0] if len(set(sizes)) == 1 else np.asarray(sizes, dtype=np.intp)
+        # per op: (stacked rows over a zero row, row offsets or None)
+        self.ops: list[tuple[np.ndarray, np.ndarray | None]] = []
         for oi in range(len(coords[0].ops)):
-            tabs = [np.asarray(a.ops[oi].table, dtype=np.uint8) for a in algebras]
-            table = np.concatenate(tabs)
-            if len(table) <= 1 << 8:
-                dtype = np.uint8
-            elif len(table) <= 1 << 16:
-                dtype = np.uint16
-            else:
-                dtype = np.int64
-            # a scalar multiplier keeps numpy's inner loop over the whole slice
-            # instead of over one row's m coordinates
-            mult = sizes[0] if len(set(sizes)) == 1 else np.asarray(sizes, dtype=dtype)
+            tabs = []
+            for a in algebras:
+                t = np.zeros((a.size ** (a.ops[oi].arity - 1), nmax), dtype=np.uint8)
+                t[:, : a.size] = np.asarray(a.ops[oi].table, dtype=np.uint8).reshape(len(t), a.size)
+                tabs.append(t)
+            table = np.concatenate(tabs + [np.zeros((1, nmax), dtype=np.uint8)])
             offsets = None
             if len(algebras) > 1:
-                starts = np.cumsum([0] + [len(t) for t in tabs[:-1]]).astype(dtype)
-                offsets = starts[[slot[id(c)] for c in coords]]
-            self.ops.append((table, dtype, mult, offsets))
-        product = 1
-        for s in sizes:
-            product *= s
-            if product > 1 << 62:
-                break
-        self.sizes = list(sizes)
-        self.key_dtype = None  # of the mixed-radix key; None when rows are hashed
-        self.width = self.m  # bytes per row of the gather buffer
-        if product <= 1 << 62:
-            for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
-                if product <= 1 << 8 * np.dtype(dtype).itemsize:
-                    self.key_dtype = dtype
-                    break
-        else:
-            self.width = -(-self.m // 8) * 8
-            self.mults = _hash_multipliers(self.width // 8)
-        self.void_t = np.dtype((np.void, self.width))
+                starts = np.cumsum([0] + [len(t) for t in tabs[:-1]])
+                offsets = starts[[slot[id(c)] for c in coords]].astype(np.intp)
+            self.ops.append((table, offsets))
+        self.arr = np.empty((0, m), dtype=np.uint8)
+        self.idx = np.empty((0, self.rows.width), dtype=np.intp)
+        self.columns = np.arange(m, dtype=np.intp) * nmax
 
-    def gather(self, oi: int, arr: np.ndarray, arg_idx: list[np.ndarray]) -> np.ndarray:
-        """Op `oi` applied coordinatewise to rows arr[arg_idx[0]], arr[arg_idx[1]], ...
+    def extend(self, rows: list[tuple[int, ...]]) -> None:
+        """Take rows[len(arr):] in as arguments: their bytes and their index rows."""
+        fresh = np.asarray(rows[len(self.arr) :], dtype=np.uint8).reshape(-1, self.m)
+        idx = np.full((len(fresh), self.rows.width), self.zero, dtype=np.intp)
+        np.add(fresh, self.columns, out=idx[:, : self.m])
+        self.arr = np.concatenate([self.arr, fresh])
+        self.idx = np.concatenate([self.idx, idx])
 
-        Returns a buffer of `width` bytes per row: the m coordinates, then
-        zeros.  The index is built in slices of at most _GATHER_SLICE entries.
+    def chunk(self, oi: int, block: int, ranges, start: int, stop: int, seen: dict):
+        """The distinct rows at positions start..stop-1 of block (op oi,
+        block), in ascending order, and a function from the index of one of
+        them to the position of its first occurrence in the block.
+
+        Rows of prefixes whose section an earlier prefix had are never
+        evaluated.  The chunk collapses to its distinct rows here, before the
+        caller touches its (Python-level) index of rows.
         """
-        count = len(arg_idx[0])
-        buf = np.empty((count, self.width), dtype=np.uint8)
-        buf[:, self.m:] = 0
-        out = buf[:, : self.m]
-        table, dtype, mult, offsets = self.ops[oi]
-        step = max(1, _GATHER_SLICE // self.m)
-        for s in range(0, count, step):
-            e = min(s + step, count)
-            idx = arr[arg_idx[0][s:e]].astype(dtype)
-            for ai in arg_idx[1:]:
-                idx *= mult
-                idx += arr[ai[s:e]]
-            if offsets is not None:
-                idx += offsets
-            np.take(table, idx, out=out[s:e])
-        return buf
+        llo, lhi = ranges[-1]
+        span = lhi - llo
+        first_p, last_p = start // span, (stop - 1) // span
+        head = start - first_p * span  # rows of the first prefix in earlier chunks
+        tail = stop - last_p * span  # rows of the last prefix in this chunk
+        idx = self.idx[llo:lhi]
+        buf = np.empty((stop - start, self.rows.width), dtype=np.uint8)
+        n = 0
 
-    def distinct_first(self, buf: np.ndarray) -> np.ndarray:
-        """Positions of the first occurrence of each distinct row of a buffer
-        from `gather`, ordered by ascending row."""
-        if self.key_dtype is not None:
-            key = buf[:, 0].astype(self.key_dtype)
-            for j in range(1, self.m):
-                key *= self.sizes[j]
-                key += buf[:, j]
-            return np.unique(key, return_index=True)[1]
-        words = buf.view(np.uint64)
-        _, first, group = np.unique(
-            _hash_rows(words, self.mults), return_index=True, return_inverse=True
-        )
-        step = max(1, _GATHER_SLICE // words.shape[1])
-        for s in range(0, len(words), step):
-            if not np.array_equal(words[s : s + step], words[first[group[s : s + step]]]):
-                return np.unique(buf.view(self.void_t).ravel(), return_index=True)[1]
-        return first[np.argsort(buf[first].view(self.void_t).ravel())]
+        def put(sections: np.ndarray, lo: int, hi: int) -> None:
+            nonlocal n
+            count = len(sections) * (hi - lo)
+            out = buf[n : n + count].reshape(len(sections), hi - lo, -1)
+            np.take(sections, idx[lo:hi], axis=1, out=out)
+            n += count
+
+        kept_parts = []
+        step = max(1, _GATHER_SLICE // self.sections.width)
+        for s in range(first_p, last_p + 1, step):
+            prefixes = np.arange(s, min(s + step, last_p + 1))
+            sections = self._sections(oi, prefixes, ranges)
+            keep = self.keep(sections, prefixes, (oi, llo), block, seen)
+            kept = prefixes[keep]
+            if not len(kept):
+                continue
+            kept_parts.append(kept)
+            sections = sections[keep]
+            # only the chunk's first and last prefix can be cut by its ends
+            i = 1 if kept[0] == first_p and head else 0
+            j = len(kept) - 1 if kept[-1] == last_p and tail < span else len(kept)
+            if i:
+                put(sections[:1], head, tail if kept[0] == last_p else span)
+            if i < j:
+                put(sections[i:j], 0, span)
+            if i <= j < len(kept):
+                put(sections[j:], 0, tail)
+        if not kept_parts:
+            return np.empty((0, self.m), dtype=np.uint8), None
+        kept = np.concatenate(kept_parts)
+        shift = head if kept[0] == first_p else 0
+        first = self.rows.distinct_first(buf[:n])
+
+        def position(i: int) -> int:
+            d, l = divmod(int(first[i]) + shift, span)
+            return int(kept[d]) * span + l
+
+        return buf[first, : self.m], position
+
+    def _sections(self, oi: int, prefixes: np.ndarray, ranges) -> np.ndarray:
+        """The sections of some prefixes of a block of op oi, one per row."""
+        table, offsets = self.ops[oi]
+        rem = prefixes
+        args = []
+        for lo, hi in reversed(ranges[:-1]):
+            rem, r = np.divmod(rem, hi - lo)
+            args.append(r + lo)
+        at = np.full((len(prefixes), self.blocks), len(table) - 1, dtype=np.intp)
+        base = at[:, : self.m]
+        base[:] = 0
+        for i, x in enumerate(reversed(args)):
+            if i:
+                base *= self.mult
+            base += self.arr[x]
+        if offsets is not None:
+            base += offsets
+        return np.take(table, at, axis=0).reshape(len(prefixes), -1)
+
+    def keep(self, sections: np.ndarray, prefixes: np.ndarray, tag, block: int, seen: dict):
+        """Which prefixes of a slice to evaluate: those whose section no
+        earlier prefix of the round had, under the same tag (op index, start
+        of the last argument's range).  `seen` maps (tag, section bytes) to
+        the first (block, prefix) that had them."""
+        first = self.sections.first_equal(sections)
+        keep = first == np.arange(len(first))
+        room = _SECTION_BUDGET // self.sections.width - len(seen)
+        plist = prefixes.tolist()
+        for i in np.flatnonzero(keep).tolist():
+            key = (*tag, sections[i].tobytes())
+            had = seen.get(key)
+            if had is None:
+                if room > 0:
+                    seen[key] = (block, plist[i])
+                    room -= 1
+            elif had != (block, plist[i]):
+                keep[i] = False
+        return keep
 
 
 def generate_subproduct(
@@ -427,12 +585,13 @@ def generate_subproduct(
 
     old = 0  # rows < old were fully processed in earlier rounds
     chunk_rows = max(1024, _CHUNK_BUDGET // max(1, m))
-    wide = None  # built by the first wide block, with `arr`
+    wide = None  # built by the first wide block
 
     while old < len(rows):
         cur = len(rows)
         new_rows: list[tuple[int, ...]] = []
         new_derivs: list[tuple[int, tuple[int, ...]]] = []
+        seen: dict = {}  # the round's evaluated sections; see _WideTables
 
         def check_cap() -> None:
             if cap is not None and cur + len(new_rows) > cap:
@@ -463,29 +622,17 @@ def generate_subproduct(
                     continue
                 if wide is None:
                     wide = _WideTables(coords, sizes)
-                    arr = np.empty((0, m), dtype=np.uint8)  # rows[:len(arr)]
-                if len(arr) < cur:
-                    fresh = np.asarray(rows[len(arr):cur], dtype=np.uint8).reshape(-1, m)
-                    arr = np.concatenate([arr, fresh])
+                if len(wide.arr) < cur:
+                    wide.extend(rows)
                 for start in range(0, total, chunk_rows):
                     stop = min(start + chunk_rows, total)
-                    arg_idx = []
-                    rem = np.arange(start, stop, dtype=np.int64)
-                    for lo, hi in reversed(ranges):
-                        span = hi - lo
-                        arg_idx.append(rem % span + lo)
-                        rem = rem // span
-                    arg_idx.reverse()
-                    buf = wide.gather(oi, arr, arg_idx)
-                    out = buf[:, :m]
-                    # collapse the chunk to its distinct rows before touching
-                    # the (python-level) global index
-                    for rr in wide.distinct_first(buf):
-                        key = out[rr].tobytes()
+                    distinct, position = wide.chunk(oi, p, ranges, start, stop, seen)
+                    for i, row in enumerate(distinct):
+                        key = row.tobytes()
                         if key not in index:
                             index[key] = cur + len(new_rows)
-                            new_rows.append(tuple(out[rr].tolist()))
-                            new_derivs.append((oi, tuple(int(ai[rr]) for ai in arg_idx)))
+                            new_rows.append(tuple(row.tolist()))
+                            new_derivs.append((oi, _block_args(position(i), ranges)))
                     check_cap()
         old = cur
         rows.extend(new_rows)

@@ -48,7 +48,7 @@ def test_hashed_closure_of_minority_projections(wide_tier):
     # 64 coordinates of a 2-element algebra: 2**64 rows do not pack, so every
     # wide chunk is hashed; the closure is the 32 affine maps
     coords = [z2_minority()] * 64
-    assert algebra._WideTables(coords, [2] * 64).key_dtype is None
+    assert algebra._WideTables(coords, [2] * 64).rows.key_dtype is None
     seeds = projections(2, 6)
     assert len(generate_subproduct(coords, seeds)) == 32
     assert_matches_reference(coords, seeds, (None, 7, 20))
@@ -63,7 +63,7 @@ def test_hashed_closure_capped_in_small_chunks(wide_tier, signature, seed, monke
     monkeypatch.setattr(reference_closure, "_CHUNK_BUDGET", 1 << 10)
     alg = random_algebra(random.Random(seed), 3, signature)
     coords = [alg] * 81
-    assert algebra._WideTables(coords, [3] * 81).key_dtype is None
+    assert algebra._WideTables(coords, [3] * 81).rows.key_dtype is None
     assert_matches_reference(coords, projections(3, 4), (50, 300, 2000))
 
 
@@ -114,12 +114,12 @@ def test_packed_key_dtype_boundaries(wide_tier, sizes, dtype):
     rng = random.Random(len(sizes) * 10 + sizes[-1])
     algs = {n: random_algebra(rng, n, SIGNATURE) for n in set(sizes)}
     coords = [algs[n] for n in sizes]
-    wide = algebra._WideTables(coords, sizes)
-    assert wide.key_dtype is dtype and wide.width == len(sizes)
+    keys = algebra._WideTables(coords, sizes).rows
+    assert keys.key_dtype is dtype and keys.width == len(sizes)
     # the key of a row must not wrap: rows differing only in the first
     # coordinate, and the largest row, stay apart
     rows = extreme_rows(sizes, rng)
-    assert np.array_equal(wide.distinct_first(rows), exact_first(rows))
+    assert np.array_equal(keys.distinct_first(rows), exact_first(rows))
     seeds = [tuple(rng.randrange(n) for n in sizes) for _ in range(2)]
     seeds.append(tuple(n - 1 for n in sizes))
     assert_matches_reference(coords, seeds, (10, 60))
@@ -130,9 +130,9 @@ def test_hashed_distinct_first_on_padded_rows():
     sizes = [255] * 8 + [2] * 3
     rng = random.Random(3)
     algs = {n: random_algebra(rng, n, (("u", 1),)) for n in set(sizes)}
-    wide = algebra._WideTables([algs[n] for n in sizes], sizes)
-    assert wide.key_dtype is None and wide.width == 16
+    keys = algebra._WideTables([algs[n] for n in sizes], sizes).rows
+    assert keys.key_dtype is None and keys.width == 16
     rows = extreme_rows(sizes, rng)
-    buf = np.zeros((len(rows), wide.width), dtype=np.uint8)
+    buf = np.zeros((len(rows), keys.width), dtype=np.uint8)
     buf[:, : len(sizes)] = rows
-    assert np.array_equal(wide.distinct_first(buf), exact_first(rows))
+    assert np.array_equal(keys.distinct_first(buf), exact_first(rows))
