@@ -94,10 +94,12 @@ def test_criterion_2_a1_example(alg_a1):
 
 def test_criterion_3_axiom_verifier_and_mutations(full_catalog):
     with _Stopwatch("3 edge axioms + mutation detection", 120.0):
-        report = verify_edge_axioms(full_catalog, enumeration_bound=16)
+        report = verify_edge_axioms(full_catalog)
         assert report.passed, [c.detail for c in report.failures]
         assert not report.skipped
-        assert dict(report.coverage).get("relational-products-enumerated", 0) > 0
+        # every relational instance came from the joint closures
+        assert dict(report.coverage).get("relational-joint-rows", 0) > 0
+        assert "relational-fallback-instances" not in dict(report.coverage)
 
         rng = np.random.default_rng(1234)
         graphs = {alg: compute_edges(alg) for alg in full_catalog}

@@ -23,7 +23,9 @@ class TestEdgeAxiomsOnCatalog:
         cov = dict(rep.coverage)
         assert cov.get("homomorphisms", 0) > 0
         assert cov.get("relational-axiom-1-instances", 0) > 0
-        assert cov.get("relational-products-enumerated", 0) > 0
+        # every relational instance came from the joint closures
+        assert cov.get("relational-joint-rows", 0) > 0
+        assert "relational-fallback-instances" not in cov
 
 
 class TestCorruptionDetection:
