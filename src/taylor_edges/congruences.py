@@ -2,8 +2,16 @@
 
 Principal congruences are computed by the standard translation closure:
 close {(a,b)} under single-coordinate images by basic operations and
-union-find the results.  The congruence set is the join-closure of the
-principal congruences, which is the whole congruence lattice.
+union-find the results.  The translations at an element are read as one row
+of each table, with the varying argument's axis moved first.  The congruence
+set is the join-closure of the principal congruences, which is the whole
+congruence lattice.
+
+A map is a homomorphism iff its graph is a subuniverse of src x dst, so
+homomorphisms are found by closing pairs (generator, image) with
+`generate_subproduct` and keeping the image choices whose closure has no
+more rows than the generated part of src: one row more means some element
+got two images.
 
 The centralizer condition C(alpha, beta; 0) is decided by the matrix
 method: close the set of 2x2 matrices (as elements of alg^4, flattened
@@ -14,18 +22,21 @@ top rows force equal bottom rows.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
     Partition,
     UnionFind,
+    _shaped_tables,
     flat_indices,
     generate_subproduct,
     induced_subalgebra,
     push_table,
     quotient_algebra,
+    sg_closure,
 )
 from .errors import CapExceeded, NotACongruence, SignatureMismatch
 
@@ -39,23 +50,26 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Cg(a, b): close the pair under basic-operation translations."""
+    """Cg(a, b): close the pair under basic-operation translations.
+
+    Per operation and argument position, row u of `translations` lists the
+    value at u of every translation: the table with that axis moved first."""
     n = alg.size
+    translations = [
+        np.moveaxis(table, pos, 0).reshape(n, -1).tolist()
+        for table in _shaped_tables(alg)
+        for pos in range(table.ndim)
+    ]
     uf = UnionFind(n)
     union = uf.union
     work = [(a, b)]
     union(a, b)
     while work:
         u, v = work.pop()
-        for op in alg.ops:
-            k = op.arity
-            for pos in range(k):
-                for rest in itertools.product(range(n), repeat=k - 1):
-                    args_u = rest[:pos] + (u,) + rest[pos:]
-                    args_v = rest[:pos] + (v,) + rest[pos:]
-                    x, y = op.apply(*args_u), op.apply(*args_v)
-                    if union(x, y):
-                        work.append((x, y))
+        for rows in translations:
+            for x, y in zip(rows[u], rows[v]):
+                if union(x, y):
+                    work.append((x, y))
     return uf.partition()
 
 
@@ -246,58 +260,41 @@ def is_homomorphism(src: FiniteAlgebra, dst: FiniteAlgebra, mapping: tuple[int, 
 
 
 @functools.lru_cache(maxsize=None)
-def homomorphisms_between(
-    src: FiniteAlgebra, dst: FiniteAlgebra, cap: int = 10**6
-) -> tuple[Homomorphism, ...]:
-    """All homomorphisms src -> dst by backtracking with forward propagation.
+def homomorphisms_between(src: FiniteAlgebra, dst: FiniteAlgebra) -> tuple[Homomorphism, ...]:
+    """All homomorphisms src -> dst, as the graphs that are subuniverses of src x dst.
 
-    Assigning a value to an unassigned element triggers propagation: every
-    operation application whose arguments are all assigned forces the value
-    of its result, and conflicts prune the branch.
+    Generators g_1..g_k of src are picked in index order, each outside the
+    subuniverse generated by the earlier ones, and b_i = |Sg(g_1..g_i)|.
+    Images d_1..d_i extend to a homomorphism on Sg(g_1..g_i) iff the pairs
+    (g_j, d_j) generate at most b_i rows of src x dst: a row more gives some
+    element two images.  Images are extended one generator at a time.
     """
     if src.signature != dst.signature:
         raise SignatureMismatch(
             f"{src.name} and {dst.name} have different signatures"
         )
-    n = src.size
-    found: list[Homomorphism] = []
-    nodes = 0
-
-    def propagate(mapping: dict[int, int]) -> dict[int, int] | None:
-        mapping = dict(mapping)
-        changed = True
-        while changed:
-            changed = False
-            for op_s, op_d in zip(src.ops, dst.ops):
-                for args in itertools.product(sorted(mapping), repeat=op_s.arity):
-                    res = op_s.apply(*args)
-                    val = op_d.apply(*(mapping[a] for a in args))
-                    if res in mapping:
-                        if mapping[res] != val:
-                            return None
-                    else:
-                        mapping[res] = val
-                        changed = True
-        return mapping
-
-    def extend(mapping: dict[int, int]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise CapExceeded(f"homomorphism search exceeded {cap} nodes")
-        free = [x for x in range(n) if x not in mapping]
-        if not free:
-            found.append(Homomorphism(src, dst, tuple(mapping[x] for x in range(n))))
-            return
-        x = free[0]
-        for v in range(dst.size):
-            trial = propagate({**mapping, x: v})
-            if trial is not None:
-                extend(trial)
-
-    extend({})
-    uniq = sorted({h.mapping for h in found})
-    return tuple(Homomorphism(src, dst, m) for m in uniq)
+    gens: list[int] = []
+    bounds: list[int] = []
+    span: frozenset[int] = frozenset()
+    for x in range(src.size):
+        if x not in span:
+            gens.append(x)
+            span = sg_closure(src, gens)
+            bounds.append(len(span))
+    level: list[tuple[tuple[int, ...], list]] = [((), [])]
+    for g, bound in zip(gens, bounds):
+        grown = []
+        for images, _ in level:
+            for d in range(dst.size):
+                seeds = [*zip(gens, images), (g, d)]
+                try:
+                    graph = generate_subproduct([src, dst], seeds, cap=bound)
+                except CapExceeded:
+                    continue
+                grown.append((images + (d,), graph))
+        level = grown
+    mappings = sorted(tuple(y for _, y in sorted(graph)) for _, graph in level)
+    return tuple(Homomorphism(src, dst, m) for m in mappings)
 
 
 def quotient_map(alg: FiniteAlgebra, theta: Partition) -> Homomorphism:

@@ -116,11 +116,11 @@ class Template:
         while queue:
             alg = queue.pop(0)
             derived: list[FiniteAlgebra] = []
-            enum = enumerate_subuniverses(alg, cap=max(size_cap, alg.size))
+            enum = enumerate_subuniverses(alg, cap=alg.size)
             for sub in enum.subuniverses:
                 if len(sub) < alg.size:
                     derived.append(induced_subalgebra(alg, sub))
-            for theta in congruence_report(alg, cap=max(size_cap, alg.size)).all_congruences:
+            for theta in congruence_report(alg, cap=alg.size).all_congruences:
                 if not theta.is_zero():
                     derived.append(quotient_algebra(alg, theta))
             for d in derived:
@@ -618,7 +618,7 @@ class DomainAnalysis:
     is_large_centralizer: bool
 
 
-def large_centralizer_analysis(instance: Instance, cap: int = 10) -> tuple[DomainAnalysis, ...]:
+def large_centralizer_analysis(instance: Instance) -> tuple[DomainAnalysis, ...]:
     """Per-variable SI/monolith/centralizer flags.
 
     A domain is a large centralizer domain when it is subdirectly irreducible
@@ -631,7 +631,7 @@ def large_centralizer_analysis(instance: Instance, cap: int = 10) -> tuple[Domai
         if alg.size <= 1:
             out.append(DomainAnalysis(v, False, None, False))
             continue
-        rep = congruence_report(alg, cap=max(cap, alg.size))
+        rep = congruence_report(alg, cap=alg.size)
         if not rep.is_subdirectly_irreducible:
             out.append(DomainAnalysis(v, False, None, False))
             continue

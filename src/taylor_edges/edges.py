@@ -56,16 +56,17 @@ class EdgeGraph:
     def asm_edges(self) -> frozenset[Edge]:
         return self.as_edges | self.sm_edges
 
+    @functools.cached_property
+    def _flavors(self) -> dict[str, tuple[frozenset[Edge], frozenset[Edge]]]:
+        """Each flavor's edge set and its loop-free part, built once per graph."""
+        sets = {"as": self.as_edges, "sm": self.sm_edges, "s": self.s_edges, "asm": self.asm_edges}
+        return {f: (e, frozenset((a, b) for a, b in e if a != b)) for f, e in sets.items()}
+
     def edges(self, flavor: str) -> frozenset[Edge]:
-        return {
-            "as": self.as_edges,
-            "sm": self.sm_edges,
-            "s": self.s_edges,
-            "asm": self.asm_edges,
-        }[flavor]
+        return self._flavors[flavor][0]
 
     def proper(self, flavor: str) -> frozenset[Edge]:
-        return frozenset((a, b) for a, b in self.edges(flavor) if a != b)
+        return self._flavors[flavor][1]
 
     def replace(self, as_edges=None, sm_edges=None) -> "EdgeGraph":
         return EdgeGraph(

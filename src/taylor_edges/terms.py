@@ -556,7 +556,7 @@ class ConditionReport:
     minority_witness: tuple | None
 
 
-def condition_checks(alg: FiniteAlgebra, t: TermOperation, cap: int = 10) -> ConditionReport:
+def condition_checks(alg: FiniteAlgebra, t: TermOperation) -> ConditionReport:
     """Bulatov-style majority/minority conditions for a ternary term operation.
 
     Identity (b) of each condition is a full table scan; condition (a)
@@ -597,7 +597,7 @@ def condition_checks(alg: FiniteAlgebra, t: TermOperation, cap: int = 10) -> Con
                 raise PreconditionViolated(
                     "t does not preserve a generated subuniverse; not a term operation"
                 )
-            rep = congruence_report(sub, cap=max(cap, sub.size))
+            rep = congruence_report(sub, cap=sub.size)
             for theta in rep.all_congruences:
                 if theta.is_one() or theta.block_count() == 1:
                     continue
