@@ -16,7 +16,7 @@ from .algebra import FiniteAlgebra, generate_subproduct, is_subuniverse, quotien
 from .congruences import congruences as congruence_report
 from .edges import EdgeGraph, compute_edges, is_x_closed
 from .errors import CapExceeded, SEdgeMismatch
-from .terms import TermOperation, free_algebra, push_to_quotient
+from .terms import TermOperation, free_algebra, push_to_quotient, term_apply
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,6 @@ def absorption_report(
     if graph is None:
         graph = compute_edges(alg, cap=cap)
     rows = []
-    two_abs_sets = []
     for bits in range(1, 1 << n):
         subset = frozenset(i for i in range(n) if bits >> i & 1)
         two = is_2_absorbing(alg, subset, graph=graph, cap=cap)
@@ -262,8 +261,6 @@ def absorption_report(
                 proj.strongly_projective_upto,
             )
         )
-        if two.absorbing:
-            two_abs_sets.append((subset, two.witness))
         # absorbing sets must be subuniverses
         if (two.absorbing or three.absorbing) and not two.is_subuniverse:
             raise SEdgeMismatch(
@@ -304,8 +301,8 @@ def _audit_transport(alg: FiniteAlgebra, rows, cap: int) -> bool:
             pushed = push_to_quotient(witness, theta)
             if pushed is None or not _witnesses_2abs(pushed, image, quot.size):
                 ok = False
-        # preimage direction: witnesses of quotient subsets lift along any
-        # term preimage; check via the pulled-back subset and a fresh search
+        # preimage direction: a quotient witness lifts to its own term read in
+        # alg, which must push back to it and witness the pulled-back subset
         qfree = free_algebra(quot, 2, cap=cap)
         if qfree.complete:
             for bits in range(1, 1 << quot.size):
@@ -314,8 +311,10 @@ def _audit_transport(alg: FiniteAlgebra, rows, cap: int) -> bool:
                 if wit is None:
                     continue
                 pre = frozenset(x for x in range(alg.size) if blocks_of[x] in dsub)
-                lifted = _lift_binary(alg, wit, theta, cap)
-                if lifted is None or not _witnesses_2abs(lifted, pre, alg.size):
+                lifted = term_apply(wit.tree, alg, arity=2)
+                pushed = push_to_quotient(lifted, theta)
+                if (pushed is None or pushed.table != wit.table
+                        or not _witnesses_2abs(lifted, pre, alg.size)):
                     ok = False
     return ok
 
@@ -327,12 +326,3 @@ def _witnesses_2abs(t: TermOperation, subset: frozenset[int], n: int) -> bool:
         for x in range(n)
     )
 
-
-def _lift_binary(alg: FiniteAlgebra, t: TermOperation, theta, cap: int) -> TermOperation | None:
-    """Some binary term of `alg` whose quotient table is t."""
-    free = free_algebra(alg, 2, cap=cap)
-    for cand in free.elements:
-        pushed = push_to_quotient(cand, theta)
-        if pushed is not None and pushed.table == t.table:
-            return cand
-    return None

@@ -1047,9 +1047,6 @@ class BinaryRelation:
     def contains(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
 
-    def right_neighbors(self, a: int) -> frozenset[int]:
-        return frozenset(y for x, y in self.pairs if x == a)
-
     def left_neighbors(self, b: int) -> frozenset[int]:
         return frozenset(x for x, y in self.pairs if y == b)
 

@@ -48,7 +48,7 @@ from .algebra import (
 from .congruences import homomorphisms_between
 from .edges import EdgeGraph, component_analysis, compute_edges, is_x_closed, reachable
 from .errors import CapExceeded, SEdgeMismatch
-from .terms import free_algebra, has_majority_term, is_affine_algebra
+from .terms import free_algebra, has_majority_term, is_affine_algebra, semilattice_term
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
@@ -120,15 +120,6 @@ class _Recorder:
 
     def report(self) -> AxiomReport:
         return AxiomReport(tuple(self.checks), tuple(sorted(self.coverage.items())))
-
-
-def _semilattice_term_witness(alg: FiniteAlgebra, a: int, b: int, cap: int) -> bool:
-    """Is there a binary term of alg acting on {a, b} as a semilattice with
-    absorbing element b?  (Idempotence supplies the other two entries.)"""
-    free = free_algebra(alg, 2, cap=cap)
-    if not free.complete:
-        raise CapExceeded(f"binary clone of {alg.name} incomplete")
-    return any(t.apply(a, b) == b and t.apply(b, a) == b for t in free.elements)
 
 
 def _structures(alg: FiniteAlgebra, cap: int):
@@ -255,12 +246,7 @@ def _base_axioms(alg, graph, rec, cap) -> bool:
 
     mark = rec.mark()
     for a, b in itertools.permutations(range(alg.size), 2):
-        try:
-            witness = _semilattice_term_witness(alg, a, b, cap)
-        except CapExceeded as exc:
-            if rec.record(CheckResult("base-axiom-3", SKIP, f"{name}: {exc}")):
-                return True
-            continue
+        witness = semilattice_term(alg, a, b) is not None
         rec.bump("semilattice-pairs-tested")
         if witness and (a, b) not in s:
             if rec.record(CheckResult(

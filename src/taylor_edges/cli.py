@@ -200,31 +200,31 @@ def cmd_verify(args) -> int:
     for s in seeds:
         groups.setdefault(s.signature, []).append(s)
     checks = []
+    coverage: dict[str, int] = {}  # AxiomReport.coverage summed over every report
     passed = True  # every check passed; skipped ones make this False
     failed = False
     for group in groups.values():
         template = Template.hs_closure(group, size_cap=max(a.size for a in group))
         catalog = list(template.members)
-        axiom_rep = verify_edge_axioms(catalog, cap=args.closure_cap)
-        passed &= axiom_rep.passed
-        failed |= bool(axiom_rep.failures)
-        checks.extend(
-            {"name": c.name, "status": c.status, "detail": c.detail}
-            for c in axiom_rep.checks
-        )
-        for alg in catalog:
-            thm_rep = verify_edge_theorems(alg, subset_cap=args.subset_cap, cap=args.closure_cap)
-            passed &= thm_rep.passed
-            failed |= bool(thm_rep.failures)
+        reports = [verify_edge_axioms(catalog, cap=args.closure_cap)] + [
+            verify_edge_theorems(alg, subset_cap=args.subset_cap, cap=args.closure_cap)
+            for alg in catalog
+        ]
+        for rep in reports:
+            passed &= rep.passed
+            failed |= bool(rep.failures)
             checks.extend(
                 {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in thm_rep.checks
+                for c in rep.checks
             )
+            for key, count in rep.coverage:
+                coverage[key] = coverage.get(key, 0) + count
     payload = {
         "seed": args.seed,
         "algebras": sorted(a.name for a in seeds),
         "passed": passed,
         "checks": checks,
+        "coverage": coverage,
     }
     _write_out(args, _render(payload, args.format))
     if failed:

@@ -242,9 +242,6 @@ class Homomorphism:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
-
     def kernel(self) -> Partition:
         return Partition.normalize(self.mapping)
 

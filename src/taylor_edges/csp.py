@@ -208,13 +208,6 @@ class Instance:
             out *= alg.size
         return out
 
-    def distinct_domains(self) -> list[FiniteAlgebra]:
-        out: list[FiniteAlgebra] = []
-        for _, alg in self.domain_list:
-            if alg not in out:
-                out.append(alg)
-        return out
-
     def with_constraints(self, constraints: tuple[Constraint, ...]) -> "Instance":
         return Instance(self.name, self.variables, self.domain_list, constraints)
 

@@ -9,10 +9,15 @@ configurable arity set -- by default the least prime above |Sg(a, b)|.
     a ->sm b  iff  for every binary term t, every cyclic c, every 0 < k <= p/2:
                    b in Sg(a, t(b, c(a^k b^(p-k))))
 
+The values t(b, w) over the binary terms t are exactly Sg{b, w}, so the
+sm-test closes Sg{b, w} and asks b in Sg(a, e) for each of its elements e;
+it never builds the binary clone.
+
 s-edges (as and sm together) are cross-checked against the independent
-two-element absorption characterization: {a,b} is a subuniverse whose induced
-binary clone contains a semilattice operation absorbing b.  A disagreement is
-a hard error, not a warning: it cannot happen over a minimal Taylor algebra.
+two-element absorption characterization: {a,b} is a subuniverse on which some
+binary term acts as a semilattice absorbing b, i.e. (b, b) lies in
+Sg{(a, b), (b, a)} <= A^2.  A disagreement is a hard error, not a warning: it
+cannot happen over a minimal Taylor algebra.
 """
 
 from __future__ import annotations
@@ -84,13 +89,11 @@ def _edge_pair_in_subalgebra(
     """Decide (a ->as b, a ->sm b) inside the subalgebra generated by {a, b}."""
     as_ok = True
     sm_ok = True
-    binary = free_algebra(sub, 2, cap=cap)
-    if not binary.complete:
-        raise CapExceeded(f"binary clone of {sub.name} incomplete at cap {cap}")
     for p in arities:
-        cyclics, complete = cyclic_operations(sub, p, cap=cap)
-        if not complete:
+        # an incomplete F(p) leaves the pair unknown: fail before filtering it
+        if not free_algebra(sub, p, cap=cap).complete:
             raise CapExceeded(f"cyclic search of {sub.name} at arity {p} incomplete")
+        cyclics, _ = cyclic_operations(sub, p, cap=cap)
         if not cyclics:
             raise NoCyclicWitness(
                 f"{sub.name} has no cyclic operation at arity {p}; not Taylor?"
@@ -103,11 +106,9 @@ def _edge_pair_in_subalgebra(
             if sm_ok:
                 for k in range(1, p // 2 + 1):
                     w = c.apply(*((a,) * k + (b,) * (p - k)))
-                    for t in binary.elements:
-                        if b not in sg_closure(sub, {a, t.apply(b, w)}):
-                            sm_ok = False
-                            break
-                    if not sm_ok:
+                    # the values t(b, w) of the binary terms t are Sg{b, w}
+                    if any(b not in sg_closure(sub, {a, e}) for e in sg_closure(sub, {b, w})):
+                        sm_ok = False
                         break
             if not as_ok and not sm_ok:
                 return False, False
@@ -148,9 +149,10 @@ def compute_edges(
             as_edges.add((a, b))
         if sm_ok:
             sm_edges.add((a, b))
-        # independent s-edge characterization: {a,b} subuniverse and the
-        # induced binary clone has a semilattice operation absorbing b
-        s_direct = semilattice_witness(alg, a, b, cap=cap) is not None
+        # independent s-edge characterization: {a,b} is a subuniverse and
+        # (b, b) lies in Sg{(a, b), (b, a)} <= A^2, i.e. some binary term acts
+        # on {a, b} as a semilattice absorbing b
+        s_direct = semilattice_witness(alg, a, b) is not None
         if s_direct != (as_ok and sm_ok):
             raise SEdgeMismatch(
                 f"{alg.name}: pair ({a},{b}) is s-edge={as_ok and sm_ok} by the "
@@ -179,12 +181,6 @@ class ComponentDecomposition:
     sources: frozenset[int]                      # component indices without in-edges
     x_min: frozenset[int]                        # union of sink components
     weak_components: tuple[tuple[int, ...], ...]
-
-    def component_of(self, element: int) -> int:
-        for i, comp in enumerate(self.components):
-            if element in comp:
-                return i
-        raise ValueError(f"element {element} out of range")
 
     def is_weakly_connected(self) -> bool:
         return len(self.weak_components) <= 1

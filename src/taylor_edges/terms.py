@@ -645,25 +645,35 @@ def local_structure(alg: FiniteAlgebra, subset: frozenset, cap: int = 4096) -> L
         for b in elems:
             if a == b:
                 continue
-            if semilattice_witness(alg, a, b, cap=cap) is not None:
+            if semilattice_witness(alg, a, b) is not None:
                 pairs.append((a, b))
     return LocalStructure(maj, tuple(pairs))
 
 
-def semilattice_witness(
-    alg: FiniteAlgebra, a: int, b: int, cap: int = 4096
-) -> TermOperation | None:
+def semilattice_term(alg: FiniteAlgebra, a: int, b: int) -> TermTree | None:
+    """The tree of a binary term t with t(a, b) = t(b, a) = b, or None.
+
+    The pairs (t(a, b), t(b, a)) over all binary terms t form the subuniverse
+    of A^2 generated by (a, b) and (b, a), so such a t exists iff (b, b) lies
+    in it; the closure's derivation of (b, b) is the tree."""
+    seeds = [(a, b), (b, a)]
+    rows, derivs = generate_subproduct([alg, alg], seeds, want_derivations=True)
+    if (b, b) not in rows:
+        return None
+    return derivation_trees(alg.ops, seeds, rows, derivs)[rows.index((b, b))]
+
+
+def semilattice_witness(alg: FiniteAlgebra, a: int, b: int) -> TermOperation | None:
     """A binary term of the induced algebra on {a, b} acting as the semilattice
-    with absorbing element b; requires {a, b} to be a subuniverse."""
+    with absorbing element b; requires {a, b} to be a subuniverse.  The table
+    is `semilattice_term`'s tree evaluated on {a, b} (idempotence fixes its
+    diagonal)."""
     if a == b:
         return None
     pair = frozenset({a, b})
     if sg_closure(alg, pair) != pair:
         return None
-    sub = induced_subalgebra(alg, pair)
-    ia, ib = sorted(pair).index(a), sorted(pair).index(b)
-    free = free_algebra(sub, 2, cap=cap)
-    for t in free.elements:
-        if t.apply(ia, ib) == ib and t.apply(ib, ia) == ib:
-            return t
-    return None
+    tree = semilattice_term(alg, a, b)
+    if tree is None:
+        return None
+    return term_apply(tree, induced_subalgebra(alg, pair), arity=2)

@@ -173,6 +173,16 @@ class TestCli:
         assert main(["verify", str(catalog_file)]) == 0
         assert "passed: True" in capsys.readouterr().out
 
+    def test_verify_reports_coverage(self, catalog_file, capsys):
+        # AxiomReport.coverage summed over the reports, in JSON and in text
+        assert main(["verify", str(catalog_file), "--format", "json"]) == 0
+        coverage = json.loads(capsys.readouterr().out)["coverage"]
+        assert coverage["homomorphisms"] > 0
+        assert coverage["relational-joint-rows"] > 0
+        main(["verify", str(catalog_file)])
+        text = capsys.readouterr().out
+        assert f"coverage.homomorphisms: {coverage['homomorphisms']}" in text
+
     def test_verify_only_skipped_exit_three(self, tmp_path, capsys):
         # z2minority x majority2 has checks skipped at the default caps and
         # none failed: that is exit 3, not a counterexample
@@ -185,7 +195,7 @@ class TestCli:
         assert payload["passed"] is False
 
     def test_edges_cap_exit_three(self, a1_file, capsys):
-        # a closure cap of 2 cannot even finish the binary clones of the
+        # a closure cap of 2 cannot finish the cyclic clones F(p) of the
         # two-generated subalgebras, so every pair becomes unknown
         assert main(["edges", str(a1_file), "--closure-cap", "2"]) == 3
 
