@@ -92,7 +92,6 @@ def is_3_absorbing(
     alg: FiniteAlgebra,
     subset: frozenset[int],
     cap: int = 4096,
-    cross_check: bool = True,
 ) -> AbsorptionDecision:
     """Ternary absorption via the structural test: (B x A) u (A x B) closed.
 
@@ -110,22 +109,21 @@ def is_3_absorbing(
     closed_rows = generate_subproduct([alg, alg], cross)
     structural = len(closed_rows) == len(cross)
     witness = None
-    if cross_check:
-        free = free_algebra(alg, 3, cap=cap)
-        if free.complete:
-            witness = _ternary_witness(free, subset, n)
-            if (witness is not None) != structural:
-                raise SEdgeMismatch(
-                    f"{alg.name}: subset {sorted(subset)} structural ternary "
-                    f"absorption={structural} but witness={witness is not None}"
-                )
-        elif structural:
-            return AbsorptionDecision(
-                True,
-                AbsorptionWitness(subset, "ternary", None, frozenset(cross), "structural"),
-                is_subuniverse(alg, subset),
-                single_method=True,
+    free = free_algebra(alg, 3, cap=cap)
+    if free.complete:
+        witness = _ternary_witness(free, subset, n)
+        if (witness is not None) != structural:
+            raise SEdgeMismatch(
+                f"{alg.name}: subset {sorted(subset)} structural ternary "
+                f"absorption={structural} but witness={witness is not None}"
             )
+    elif structural:
+        return AbsorptionDecision(
+            True,
+            AbsorptionWitness(subset, "ternary", None, frozenset(cross), "structural"),
+            is_subuniverse(alg, subset),
+            single_method=True,
+        )
     wit = None
     if structural:
         wit = AbsorptionWitness(subset, "ternary", witness, frozenset(cross), "structural")

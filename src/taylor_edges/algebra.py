@@ -4,17 +4,15 @@ Elements are 0-based integers.  A k-ary operation is stored as a flat value
 vector of length n^k, indexed row-major with the leftmost argument most
 significant, so tables are bit-stable across runs and platforms.
 
-Closures come in three tiers, each picked from the size of its input:
+There is one closure engine, `generate_subproduct`: it closes a set of
+vectors under coordinatewise application of the basic operations.  Subpowers,
+relations, free algebras (via `terms`) and the matrix method (via
+`congruences`) all reduce to it, and so does a set closure: `sg_closure` and
+`enumerate_subuniverses` close a seed set as the one-coordinate vectors it
+consists of.  Each block of argument tuples takes one of two tiers, picked
+from its size:
 
-- Set closure.  `sg_closure` and `enumerate_subuniverses` need only the set
-  a seed generates in one algebra.  Algebras of at most
-  `_SET_CLOSURE_PYTHON_MAX` elements close it by a plain-Python semi-naive
-  fixpoint; larger ones by whole-set numpy rounds `T[np.ix_(S, ..., S)]` over
-  each table reshaped once per algebra.
-- Narrow blocks.  `generate_subproduct` closes a set of vectors under
-  coordinatewise application of the basic operations; subpowers, relations,
-  free algebras (via `terms`) and the matrix method (via `congruences`) all
-  reduce to it.  A block whose argument tuples times coordinates is at most
+- Narrow blocks.  A block whose argument tuples times coordinates is at most
   `_NARROW_BLOCK_WORK` is evaluated in plain Python over nested tables.
 - Wide chunks.  Larger blocks are cut into chunks of `_CHUNK_BUDGET`
   elements.  In a block of op t, each argument prefix (all but the last
@@ -41,8 +39,7 @@ Closures come in three tiers, each picked from the size of its input:
   first rows are sorted among themselves, and any mismatch falls back to
   `np.unique` over whole rows, so no hash value decides a row or an order.
 
-Every tier of `generate_subproduct` keeps one contract, so its output does
-not depend on the tier:
+Both tiers keep one contract, so the output does not depend on the tier:
 
 - Rows come in discovery order: the seeds (deduplicated, in given order),
   then round by round.  A round enumerates, per operation and per position p
@@ -51,7 +48,8 @@ not depend on the tier:
   chunk size.  A chunk's unseen rows are appended in ascending lexicographic
   order.  Rows found in a round become arguments in the next round.
 - A row's derivation is (op index, argument indices) of the first argument
-  tuple, in enumeration order, that produced it.
+  tuple, in enumeration order, that produced it; it is built only when the
+  caller asks for derivations.
 - The cap is checked after each chunk: once more than `cap` rows exist,
   `CapExceeded` is raised with every row found so far as `partial`.
 
@@ -67,7 +65,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from operator import eq, getitem
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,8 +82,6 @@ _NARROW_BLOCK_WORK = 2048
 _GATHER_SLICE = 1 << 17
 # Bytes of distinct sections one closure round remembers to skip repeats.
 _SECTION_BUDGET = 1 << 22
-# Algebras up to this size close plain sets in Python; larger ones in numpy.
-_SET_CLOSURE_PYTHON_MAX = 8
 
 
 def table_side(length: int, arity: int) -> int | None:
@@ -617,7 +613,8 @@ def generate_subproduct(
                         if key not in index:
                             index[key] = cur + len(new_rows)
                             new_rows.append(row)
-                            new_derivs.append((oi, _block_args(q, ranges)))
+                            if want_derivations:
+                                new_derivs.append((oi, _block_args(q, ranges)))
                     check_cap()
                     continue
                 if wide is None:
@@ -632,7 +629,8 @@ def generate_subproduct(
                         if key not in index:
                             index[key] = cur + len(new_rows)
                             new_rows.append(tuple(row.tolist()))
-                            new_derivs.append((oi, _block_args(position(i), ranges)))
+                            if want_derivations:
+                                new_derivs.append((oi, _block_args(position(i), ranges)))
                     check_cap()
         old = cur
         rows.extend(new_rows)
@@ -647,67 +645,9 @@ def generate_subproduct(
 # Subuniverse generation and enumeration
 
 
-def _set_closure(alg: FiniteAlgebra) -> Callable[[frozenset[int]], frozenset[int]]:
-    """The closure operator of `alg` on nonempty sets of elements."""
-    if alg.size <= _SET_CLOSURE_PYTHON_MAX:
-        return functools.partial(_python_set_closure, alg.ops)
-    return functools.partial(_numpy_set_closure, _shaped_tables(alg), alg.size)
-
-
-def _python_set_closure(ops, seed: frozenset[int]) -> frozenset[int]:
-    """Semi-naive fixpoint: each round applies the ops only to argument tuples
-    holding at least one element found in the previous round."""
-    closed = set(seed)
-    old: list[int] = []
-    new = sorted(seed)
-    while new:
-        cur = old + new
-        found: set[int] = set()
-        for op in ops:
-            for p in range(op.arity):
-                pools = [old] * p + [new] + [cur] * (op.arity - p - 1)
-                _apply_pools(op.nested, pools, found)
-        found -= closed
-        closed |= found
-        old, new = cur, sorted(found)
-    return frozenset(closed)
-
-
-def _apply_pools(nested, pools: list[list[int]], found: set[int]) -> None:
-    """Add to `found` the value of every argument tuple in the product of `pools`."""
-    tables = [nested]
-    for pool in pools[:-1]:
-        tables = [t[a] for t in tables for a in pool]
-    last = pools[-1]
-    for t in tables:
-        found.update(map(t.__getitem__, last))
-
-
-@functools.lru_cache(maxsize=None)
-def _shaped_tables(alg: FiniteAlgebra) -> tuple[np.ndarray, ...]:
-    """Each op's table reshaped to (n,)*arity, for whole-set closure rounds."""
-    return tuple(
-        np.asarray(op.table, dtype=np.intp).reshape((alg.size,) * op.arity) for op in alg.ops
-    )
-
-
-def _numpy_set_closure(tables, n: int, seed: frozenset[int]) -> frozenset[int]:
-    """Whole-set rounds: apply each op to all of S^arity until S stops growing."""
-    mask = np.zeros(n, dtype=bool)
-    mask[list(seed)] = True
-    count = len(seed)
-    while True:
-        s = np.flatnonzero(mask)
-        for t in tables:
-            mask[t[np.ix_(*(s,) * t.ndim)]] = True
-        grown = int(np.count_nonzero(mask))
-        if grown == count:
-            return frozenset(s.tolist())
-        count = grown
-
-
 def _closure_mask(alg: FiniteAlgebra, seed: frozenset[int]) -> frozenset[int]:
-    return _set_closure(alg)(seed) if seed else frozenset()
+    """Sg(seed) in `alg`: the one-coordinate case of `generate_subproduct`."""
+    return frozenset(x for (x,) in generate_subproduct([alg], [(x,) for x in sorted(seed)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -747,23 +687,14 @@ class SubuniverseEnumeration:
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_subuniverses(
-    alg: FiniteAlgebra, proper_only: bool = False, cap: int = 8
-) -> SubuniverseEnumeration:
+def enumerate_subuniverses(alg: FiniteAlgebra, cap: int = 8) -> SubuniverseEnumeration:
     """All nonempty subuniverses by NextClosure over the generation operator."""
     n = alg.size
     if n > cap:
         raise CapExceeded(f"subuniverse enumeration capped at size {cap}, got {n}")
 
-    # one closure operator for the whole enumeration: looking each seed up in
-    # the shared cache would hash the algebra's tables on every call
-    closure = _set_closure(alg)
-
-    def close(s: frozenset[int]) -> frozenset[int]:
-        return closure(s) if s else frozenset()
-
     closed: list[frozenset[int]] = []
-    current = close(frozenset())
+    current: frozenset[int] = frozenset()  # no nullary operations: Sg({}) is empty
     while True:
         if current:
             closed.append(current)
@@ -771,7 +702,7 @@ def enumerate_subuniverses(
         for i in range(n - 1, -1, -1):
             if i in current:
                 continue
-            candidate = close(frozenset(x for x in current if x < i) | {i})
+            candidate = _closure_mask(alg, frozenset(x for x in current if x < i) | {i})
             if all(x in current for x in candidate if x < i):
                 nxt = candidate
                 break
@@ -779,8 +710,7 @@ def enumerate_subuniverses(
             break
         current = nxt
 
-    subs = tuple(s for s in closed if len(s) < n) if proper_only else tuple(closed)
-    return SubuniverseEnumeration(subs, n)
+    return SubuniverseEnumeration(tuple(closed), n)
 
 
 def _hypergraph_connected(n: int, edges: list[frozenset[int]]) -> bool:

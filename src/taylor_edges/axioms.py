@@ -355,28 +355,30 @@ def _hypothesis_closure(algs, keys) -> set[tuple]:
     return set(generate_subproduct(algs, seeds))
 
 
-def _slot_choices(slots, algs, graphs) -> list[list[tuple]]:
-    """Per slot, (edge, key) for each proper edge (x1, x2) of the slot's
-    flavor in its algebra of `algs`; the key (algebra, column, target) holds
-    the edge's entries picked by the slot's pattern, and x2."""
-    return [
-        [
-            (edge, (alg, tuple(edge[i] for i in pattern), edge[1]))
-            for edge in sorted(graphs[alg].proper(flavor))
+def _slot_choices(group, graphs) -> dict[tuple, list[list[tuple]]]:
+    """Per relational axiom name and algebra of `group`, per slot of the
+    axiom, (edge, key) for each proper edge (x1, x2) of the slot's flavor in
+    the algebra; the key (algebra, column, target) holds the edge's entries
+    picked by the slot's pattern, and x2."""
+    return {
+        (name, alg): [
+            [
+                (edge, (alg, tuple(edge[i] for i in pattern), edge[1]))
+                for edge in sorted(graphs[alg].proper(flavor))
+            ]
+            for flavor, pattern in slots
         ]
-        for alg, (flavor, pattern) in zip(algs, slots)
-    ]
+        for name, slots in _AXIOMS
+        for alg in group
+    }
 
 
-def _group_masks(group, graphs, rec) -> dict[str, dict[tuple, int] | None]:
+def _group_masks(group, choices, rec) -> dict[str, dict[tuple, int] | None]:
     """Per relational axiom, the masks of its joint closure over `group`."""
     masks = {}
     for name, slots in _AXIOMS:
         keys = dict.fromkeys(
-            key
-            for alg in group
-            for choices in _slot_choices(slots, [alg] * len(slots), graphs)
-            for _, key in choices
+            key for alg in group for slot in choices[name, alg] for _, key in slot
         )
         masks[name] = _joint_masks(list(keys), len(slots[0][1]), rec)
     return masks
@@ -385,17 +387,18 @@ def _group_masks(group, graphs, rec) -> dict[str, dict[tuple, int] | None]:
 def _relational_axioms(group, graphs, rec) -> bool:
     """Relational Axioms 1-2 on every pair and 3 on every triple of `group`.
     True when fail-fast stops verification."""
-    masks = _group_masks(group, graphs, rec)
+    choices = _slot_choices(group, graphs)
+    masks = _group_masks(group, choices, rec)
     for algs in itertools.product(group, repeat=2):
-        if _relational_product("relational-axioms-1-2", _AXIOMS[:2], algs, graphs, rec, masks):
+        if _relational_product("relational-axioms-1-2", _AXIOMS[:2], algs, choices, rec, masks):
             return True
     for algs in itertools.product(group, repeat=3):
-        if _relational_product("relational-axiom-3", _AXIOMS[2:], algs, graphs, rec, masks):
+        if _relational_product("relational-axiom-3", _AXIOMS[2:], algs, choices, rec, masks):
             return True
     return False
 
 
-def _relational_product(check, axioms, algs, graphs, rec, masks) -> bool:
+def _relational_product(check, axioms, algs, choices, rec, masks) -> bool:
     """Every instance of `axioms` on the product of `algs`, each decided by
     its slots' masks, or by `_hypothesis_closure` where its axiom's joint
     closure was too large; one `check` PASS when none fails.  True when
@@ -404,11 +407,11 @@ def _relational_product(check, axioms, algs, graphs, rec, masks) -> bool:
     names = "x".join(alg.name for alg in algs)
     for name, slots in axioms:
         joint = masks[name]
-        choices = _slot_choices(slots, algs, graphs)
+        slot_choices = [choices[name, alg][i] for i, alg in enumerate(algs)]
         # without a joint closure every mask is 0: each instance closes on its own
-        bits = [[0 if joint is None else joint[key] for _, key in slot] for slot in choices]
+        bits = [[0 if joint is None else joint[key] for _, key in slot] for slot in slot_choices]
         n, stopped = 0, False
-        instances = zip(itertools.product(*choices), itertools.product(*bits))
+        instances = zip(itertools.product(*slot_choices), itertools.product(*bits))
         for n, (instance, slot_bits) in enumerate(instances, 1):
             if functools.reduce(operator.and_, slot_bits):
                 continue

@@ -30,7 +30,6 @@ from .algebra import (
     FiniteAlgebra,
     Partition,
     UnionFind,
-    _shaped_tables,
     flat_indices,
     generate_subproduct,
     induced_subalgebra,
@@ -49,18 +48,22 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Cg(a, b): close the pair under basic-operation translations.
-
-    Per operation and argument position, row u of `translations` lists the
-    value at u of every translation: the table with that axis moved first."""
+def _translations(alg: FiniteAlgebra) -> list[list[list[int]]]:
+    """Per operation and argument position, row u lists the value at u of
+    every translation: the table with that axis moved first."""
     n = alg.size
-    translations = [
-        np.moveaxis(table, pos, 0).reshape(n, -1).tolist()
-        for table in _shaped_tables(alg)
-        for pos in range(table.ndim)
+    return [
+        np.moveaxis(np.reshape(op.table, (n,) * op.arity), pos, 0).reshape(n, -1).tolist()
+        for op in alg.ops
+        for pos in range(op.arity)
     ]
-    uf = UnionFind(n)
+
+
+@functools.lru_cache(maxsize=None)
+def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
+    """Cg(a, b): close the pair under basic-operation translations."""
+    translations = _translations(alg)
+    uf = UnionFind(alg.size)
     union = uf.union
     work = [(a, b)]
     union(a, b)

@@ -136,8 +136,8 @@ class TestCrossValidation:
             assert free3.complete
             for bits in range(1, 1 << alg.size):
                 subset = frozenset(i for i in range(alg.size) if bits >> i & 1)
-                # is_3_absorbing raises on mismatch; run it with the cross-check on
-                is_3_absorbing(alg, subset, cross_check=True)
+                # is_3_absorbing raises on mismatch
+                is_3_absorbing(alg, subset)
 
     def test_s_edge_coherence(self, full_catalog):
         # a ->s b  iff  {a,b} is a subuniverse and {b} absorbs the pair algebra

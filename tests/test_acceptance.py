@@ -141,7 +141,7 @@ def test_criterion_4_absorption_cross_validation(full_catalog):
                     disagreements += 1
                 if f3_complete:
                     # raises (counts as failure) on structural/witness mismatch
-                    is_3_absorbing(alg, subset, cross_check=True)
+                    is_3_absorbing(alg, subset)
         assert disagreements == 0
 
 

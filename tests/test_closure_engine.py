@@ -140,23 +140,17 @@ def nonempty_subsets(n: int):
         yield from itertools.combinations(range(n), r)
 
 
-@pytest.mark.parametrize("python_max", [None, 0])
-def test_set_closure_matches_reference_on_catalog(full_catalog, python_max, monkeypatch):
-    # None: the shipped threshold, through sg_closure; 0: every algebra takes
-    # the whole-set numpy rounds
-    if python_max is not None:
-        monkeypatch.setattr(algebra, "_SET_CLOSURE_PYTHON_MAX", python_max)
+def test_set_closure_matches_reference_on_catalog(full_catalog):
     for alg in full_catalog:
         for subset in nonempty_subsets(alg.size):
             want = reference_sg(alg, subset)
-            if python_max is None:
-                assert sg_closure(alg, subset) == want, (alg.name, subset)
+            assert sg_closure(alg, subset) == want, (alg.name, subset)
             assert algebra._closure_mask(alg, frozenset(subset)) == want, (alg.name, subset)
 
 
 def test_set_closure_matches_reference_on_random_algebras():
     # random tables are far from symmetric, so an argument position the
-    # fixpoint skipped would show; sizes 9-12 take the numpy rounds
+    # closure skipped would show; sizes 9-12 sample their seeds
     rng = random.Random(5)
     for n in (2, 3, 4, 5, 6, 9, 12):
         for signature in SIGNATURES:
@@ -170,13 +164,34 @@ def test_set_closure_matches_reference_on_random_algebras():
 
 
 def test_set_closure_matches_reference_on_products():
-    # 16 and 32 elements: both sides of the Python/numpy threshold
+    # 16 and 32 elements, larger than the catalog and random algebras above
     majority = two_element_majority()
     for alg in (product_algebra(a1(), a1()), product_algebra(a1(), power_algebra(majority, 3))):
         rng = random.Random(alg.size)
         for _ in range(40):
             seed = frozenset(rng.sample(range(alg.size), rng.randint(1, 3)))
             assert algebra._closure_mask(alg, seed) == reference_sg(alg, seed), (alg.name, seed)
+
+
+def test_derivations_are_built_only_on_request(tier, monkeypatch):
+    # a closure without want_derivations never builds an argument tuple, a
+    # set closure included; one with it still returns the reference's
+    calls = []
+    block_args = algebra._block_args
+
+    def spy(q, ranges):
+        calls.append(q)
+        return block_args(q, ranges)
+
+    monkeypatch.setattr(algebra, "_block_args", spy)
+    for coords, seeds in narrow_cases()[:50]:
+        rows, derivs = reference_closure.generate_subproduct(coords, seeds, want_derivations=True)
+        assert generate_subproduct(coords, seeds) == rows
+        assert algebra._closure_mask(coords[0], frozenset(s[0] for s in seeds))
+        assert calls == []
+        assert generate_subproduct(coords, seeds, want_derivations=True) == (rows, derivs)
+        assert len(calls) == sum(d is not None for d in derivs)
+        calls.clear()
 
 
 def test_default_caps_leave_unknown_edges():

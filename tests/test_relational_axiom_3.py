@@ -16,6 +16,7 @@ from taylor_edges.axioms import (
     _group_masks,
     _Recorder,
     _relational_product,
+    _slot_choices,
     verify_edge_axioms,
 )
 from taylor_edges.catalog import z2_minority
@@ -77,18 +78,19 @@ def test_reports_match_reference_under_sm_toggles(
 
 
 def ternary_masks(group, graphs):
-    return _group_masks(group, graphs, _Recorder(False))["relational-axiom-3"]
+    return _group_masks(group, _slot_choices(group, graphs), _Recorder(False))["relational-axiom-3"]
 
 
 def compare_every_triple(group, graphs):
     """Both versions on every triple of `group`, with and without fail-fast;
     returns the number of relational-axiom-3 failures seen."""
-    masks = _group_masks(group, graphs, _Recorder(False))
+    choices = _slot_choices(group, graphs)
+    masks = _group_masks(group, choices, _Recorder(False))
     failures = 0
     for triple in itertools.product(group, repeat=3):
         for fail_fast in (False, True):
             got, want = _Recorder(fail_fast), _Recorder(fail_fast)
-            stopped = _relational_product("relational-axiom-3", _AXIOMS[2:], triple, graphs, got, masks)
+            stopped = _relational_product("relational-axiom-3", _AXIOMS[2:], triple, choices, got, masks)
             assert stopped == reference_axiom_3(triple, graphs, want)
             assert comparable(got.checks, got.coverage) == comparable(want.checks, want.coverage)
             assert got.checks == want.checks

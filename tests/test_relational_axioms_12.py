@@ -20,6 +20,7 @@ from taylor_edges.axioms import (
     _Recorder,
     _relational_axioms,
     _relational_product,
+    _slot_choices,
     verify_edge_axioms,
 )
 from taylor_edges.catalog import two_element_majority
@@ -102,7 +103,7 @@ def test_random_groups_match_reference():
     joint = {name: set() for name, _ in _AXIOMS}
     for _ in range(16):
         group, graphs = random_group(rng)
-        masks = _group_masks(group, graphs, _Recorder(False))
+        masks = _group_masks(group, _slot_choices(group, graphs), _Recorder(False))
         for name in joint:
             if masks[name] != {}:  # {}: the axiom has no instance in this group
                 joint[name].add(masks[name] is not None)
@@ -132,8 +133,9 @@ def test_enumeration_matches_joint_closures(ternary_template, semilattice_templa
             pairs += 1
             graphs = {alg: complete_graph(alg) for alg in (left, right)}
             rec = _Recorder(False)
-            masks = _group_masks([left, right], graphs, rec)
-            _relational_product("relational-axioms-1-2", _AXIOMS[:2], (left, right), graphs, rec, masks)
+            choices = _slot_choices([left, right], graphs)
+            masks = _group_masks([left, right], choices, rec)
+            _relational_product("relational-axioms-1-2", _AXIOMS[:2], (left, right), choices, rec, masks)
             failed = {(c.name, *c.counterexample[2:4]) for c in relational_fails(rec.checks)}
             fallbacks += dict(rec.coverage).get("relational-fallback-instances", 0)
             sm = sorted(graphs[right].proper("sm"))
