@@ -57,11 +57,8 @@ def is_2_absorbing(
     witness, complete = _binary_witness(alg, subset, cap)
     subuniv = is_subuniverse(alg, subset)
     if graph is None:
-        try:
-            graph = compute_edges(alg)
-        except CapExceeded:
-            graph = None
-    if graph is None or graph.unknown:
+        graph = compute_edges(alg, cap=cap)
+    if graph.unknown:
         # the secondary method is unavailable; report single-method
         if not complete:
             raise CapExceeded("neither absorption method could complete")
@@ -117,17 +114,12 @@ def is_3_absorbing(
                 f"{alg.name}: subset {sorted(subset)} structural ternary "
                 f"absorption={structural} but witness={witness is not None}"
             )
-    elif structural:
-        return AbsorptionDecision(
-            True,
-            AbsorptionWitness(subset, "ternary", None, frozenset(cross), "structural"),
-            is_subuniverse(alg, subset),
-            single_method=True,
-        )
     wit = None
     if structural:
         wit = AbsorptionWitness(subset, "ternary", witness, frozenset(cross), "structural")
-    return AbsorptionDecision(structural, wit, is_subuniverse(alg, subset))
+    return AbsorptionDecision(
+        structural, wit, is_subuniverse(alg, subset), single_method=not free.complete
+    )
 
 
 def _ternary_witness(free, subset, n):

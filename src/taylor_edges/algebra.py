@@ -605,6 +605,9 @@ def generate_subproduct(
                 total = (cur - old) * old**p * cur ** (op.arity - p - 1)
                 if total == 0:
                     continue
+                # the chunk bound always holds at the shipped constants; with
+                # _NARROW_BLOCK_WORK raised, it sends a block larger than one
+                # chunk to the wide tier, which keeps the chunked row order
                 if total * m <= _NARROW_BLOCK_WORK and total <= chunk_rows:
                     if nested[oi] is None:
                         nested[oi] = [c.ops[oi].nested for c in coords]

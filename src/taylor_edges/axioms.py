@@ -46,7 +46,7 @@ from .algebra import (
     sg_closure,
 )
 from .congruences import homomorphisms_between
-from .edges import EdgeGraph, component_analysis, compute_edges, is_x_closed, reachable
+from .edges import EdgeGraph, component_analysis, compute_edges, is_x_closed
 from .errors import CapExceeded, SEdgeMismatch
 from .terms import free_algebra, has_majority_term, is_affine_algebra, semilattice_term
 
@@ -484,11 +484,8 @@ def verify_edge_theorems(
         ))
 
     s_min = sorted(s_comp.x_min)
-    reach = {a: reachable(asm_edges, a) for a in s_min}
-    bad = [
-        (a, b) for a in s_min for b in s_min
-        if b not in reach[a] or a not in reach[b]
-    ]
+    reach = graph.reach("asm")
+    bad = [(a, b) for a in s_min for b in s_min if not (reach[a] >> b & 1 and reach[b] >> a & 1)]
     if bad:
         rec.record(CheckResult(
             "smin-mutually-asm-reachable", FAIL,

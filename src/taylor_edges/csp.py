@@ -731,7 +731,6 @@ class RetractionResult:
 
 def largecentred_retraction(
     instance: Instance,
-    quotient_solutions: dict[tuple[str, int], tuple[int, ...]] | None = None,
     targets: dict[str, frozenset] | None = None,
     cap: int = 4096,
     solve_limit: int = 10**6,
@@ -743,11 +742,9 @@ def largecentred_retraction(
     [b_i], and composes the per-variable polynomials
     p'(x) = f(..f(f(x, h_1), h_2).., h_k) to their least idempotent power.
 
-    `quotient_solutions` maps (variable, quotient-point) to a solution vector
-    of the quotient instance; missing entries are searched by brute force
-    (and HypothesisUnmet is raised when none exists).  `targets` optionally
-    directs the edge choice into a binary absorbing subuniverse, for the
-    theorem's final clause.
+    Each quotient solution is found by brute force (HypothesisUnmet is raised
+    when none exists).  `targets` optionally directs the edge choice into a
+    binary absorbing subuniverse, for the theorem's final clause.
     """
     analyses = large_centralizer_analysis(instance)
     lc_vars = {a.variable: a for a in analyses if a.is_large_centralizer}
@@ -773,15 +770,6 @@ def largecentred_retraction(
     )
 
     def solution_through(var: str, point: int) -> tuple[int, ...]:
-        if quotient_solutions is not None and (var, point) in quotient_solutions:
-            sol = quotient_solutions[(var, point)]
-            if not _is_solution(quotient, sol) or sol[quotient.variables.index(var)] != point:
-                raise HypothesisUnmet(
-                    f"supplied quotient solution through {var}={point} is invalid",
-                    hypothesis="quotient-solution",
-                )
-            return sol
-        idx = quotient.variables.index(var)
         pin = Constraint((var,), frozenset({(point,)}))
         pinned = quotient.with_constraints(quotient.constraints + (pin,))
         res = brute_force_solve(pinned, limit=solve_limit, first_only=True)
@@ -836,14 +824,6 @@ def _least_idempotent_power(p: tuple[int, ...]) -> tuple[int, ...]:
         if square == current:
             return current
         current = tuple(current[p[x]] for x in range(len(p)))
-
-
-def _is_solution(instance: Instance, assignment: tuple[int, ...]) -> bool:
-    pos = {v: i for i, v in enumerate(instance.variables)}
-    return all(
-        tuple(assignment[pos[v]] for v in c.scope) in c.tuples
-        for c in instance.constraints
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import FiniteAlgebra, BinaryRelation, Partition, induced_subalgebra, sg_closure
 from .errors import CapExceeded, NoCyclicWitness, PreconditionViolated, SEdgeMismatch
@@ -62,16 +63,25 @@ class EdgeGraph:
         return self.as_edges | self.sm_edges
 
     @functools.cached_property
-    def _flavors(self) -> dict[str, tuple[frozenset[Edge], frozenset[Edge]]]:
-        """Each flavor's edge set and its loop-free part, built once per graph."""
+    def _flavors(self) -> dict[str, tuple[frozenset[Edge], frozenset[Edge], tuple[int, ...]]]:
+        """Each flavor's edge set, its loop-free part and its reach masks,
+        built once per graph."""
         sets = {"as": self.as_edges, "sm": self.sm_edges, "s": self.s_edges, "asm": self.asm_edges}
-        return {f: (e, frozenset((a, b) for a, b in e if a != b)) for f, e in sets.items()}
+        out = {}
+        for f, e in sets.items():
+            proper = frozenset((a, b) for a, b in e if a != b)
+            out[f] = (e, proper, reach_masks(self.algebra.size, proper))
+        return out
 
     def edges(self, flavor: str) -> frozenset[Edge]:
         return self._flavors[flavor][0]
 
     def proper(self, flavor: str) -> frozenset[Edge]:
         return self._flavors[flavor][1]
+
+    def reach(self, flavor: str) -> tuple[int, ...]:
+        """The flavor's reach masks; see `reach_masks`."""
+        return self._flavors[flavor][2]
 
     def replace(self, as_edges=None, sm_edges=None) -> "EdgeGraph":
         return EdgeGraph(
@@ -169,16 +179,34 @@ def compute_edges(
 
 
 # ---------------------------------------------------------------------------
-# Strong components, condensation, sinks
+# Reachability: strong components (classes of mutual reachability), sinks,
+# sources, x-min
+
+
+def reach_masks(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
+    """Bit v of entry u is set iff some directed path, possibly empty, leads
+    from u to v: a Warshall closure over ints, in which loops add nothing."""
+    reach = [1 << v for v in range(n)]
+    for a, b in edges:
+        reach[a] |= 1 << b
+    for k in range(n):
+        bit, through = 1 << k, reach[k]
+        for u in range(n):
+            if reach[u] & bit:
+                reach[u] |= through
+    return tuple(reach)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
     flavor: str
     components: tuple[tuple[int, ...], ...]      # each sorted; ordered by least element
-    condensation: frozenset[tuple[int, int]]     # edges between component indices
-    sinks: frozenset[int]                        # component indices without out-edges
-    sources: frozenset[int]                      # component indices without in-edges
+    sinks: frozenset[int]                        # component indices reaching no other
+    sources: frozenset[int]                      # component indices no other reaches
     x_min: frozenset[int]                        # union of sink components
     weak_components: tuple[tuple[int, ...], ...]
 
@@ -186,88 +214,26 @@ class ComponentDecomposition:
         return len(self.weak_components) <= 1
 
 
-def strongly_connected_components(n: int, edges: frozenset[Edge]) -> list[list[int]]:
-    """Iterative Tarjan; components returned sorted by least element."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in sorted(edges):
-        if a != b:
-            adj[a].append(b)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
 def component_analysis(graph: EdgeGraph, flavor: str) -> ComponentDecomposition:
-    """Strong components, condensation, sinks/sources, x-min, weak components.
+    """Strong components, sinks/sources, x-min, weak components.
 
-    Loops are ignored; component numbering is by least contained element.
+    Strong components are the classes of mutual reachability, numbered by
+    least contained element; loops are ignored.
     """
     n = graph.algebra.size
-    edges = graph.proper(flavor)
-    comps = strongly_connected_components(n, edges)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    cond = frozenset(
-        (comp_of[a], comp_of[b]) for a, b in edges if comp_of[a] != comp_of[b]
+    reach = graph.reach(flavor)
+    masks: list[int] = []
+    for v in range(n):
+        if not any(m >> v & 1 for m in masks):
+            masks.append(sum(1 << u for u in range(n) if reach[v] >> u & 1 and reach[u] >> v & 1))
+    comps = tuple(map(_bits, masks))
+    sinks = frozenset(i for i, m in enumerate(masks) if reach[comps[i][0]] == m)
+    sources = frozenset(
+        i for i, m in enumerate(masks) if not any(reach[u] & m for u in range(n) if not m >> u & 1)
     )
-    sinks = frozenset(i for i in range(len(comps)) if not any(x == i for x, _ in cond))
-    sources = frozenset(i for i in range(len(comps)) if not any(y == i for _, y in cond))
     x_min = frozenset(v for i in sinks for v in comps[i])
-
-    weak_comps = tuple(map(tuple, Partition.from_pairs(n, edges).blocks()))
-
-    return ComponentDecomposition(
-        flavor,
-        tuple(tuple(c) for c in comps),
-        cond,
-        sinks,
-        sources,
-        x_min,
-        weak_comps,
-    )
+    weak_comps = tuple(map(tuple, Partition.from_pairs(n, graph.proper(flavor)).blocks()))
+    return ComponentDecomposition(flavor, comps, sinks, sources, x_min, weak_comps)
 
 
 def is_x_closed(graph: EdgeGraph, flavor: str, subset: frozenset[int]) -> bool:
@@ -278,15 +244,8 @@ def is_x_closed(graph: EdgeGraph, flavor: str, subset: frozenset[int]) -> bool:
 
 
 def reachable(edges: frozenset[Edge], start: int) -> frozenset[int]:
-    seen = {start}
-    work = [start]
-    while work:
-        v = work.pop()
-        for a, b in edges:
-            if a == v and b not in seen and a != b:
-                seen.add(b)
-                work.append(b)
-    return frozenset(seen)
+    n = 1 + max((start, *itertools.chain.from_iterable(edges)))
+    return frozenset(_bits(reach_masks(n, edges)[start]))
 
 
 def s_path_between(graph: EdgeGraph, start: int, goal: int) -> list[int] | None:
@@ -368,5 +327,4 @@ def shift_tolerance_chain(
 
 
 def _s_ancestors(graph: EdgeGraph, target: int) -> frozenset[int]:
-    rev = frozenset((b, a) for a, b in graph.proper("s"))
-    return reachable(rev, target)
+    return frozenset(u for u, m in enumerate(graph.reach("s")) if m >> target & 1)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from taylor_edges.absorption import is_2_absorbing, is_3_absorbing
 from taylor_edges.algebra import (
     FiniteAlgebra,
     OperationTable,
@@ -19,8 +20,8 @@ from taylor_edges.csp import (
     maroti_witness,
 )
 from taylor_edges.edges import compute_edges
-from taylor_edges.errors import NoCyclicWitness
-from taylor_edges.terms import Var, term_apply
+from taylor_edges.errors import CapExceeded, NoCyclicWitness
+from taylor_edges.terms import Var, free_algebra, term_apply
 
 
 def flat_meet3():
@@ -60,6 +61,19 @@ class TestDegradation:
         g = compute_edges(alg_a1, cap=2)
         rep = verify_edge_theorems(alg_a1, graph=g)
         assert rep.skipped and not rep.failures
+
+    def test_ternary_absorption_without_cross_check_is_single_method(self, alg_a1):
+        # F(3) is incomplete at cap 2, so a "no" from the structural test is
+        # not cross-checked either
+        assert not free_algebra(alg_a1, 3, cap=2).complete
+        dec = is_3_absorbing(alg_a1, frozenset({1}), cap=2)
+        assert not dec.absorbing and dec.single_method
+
+    def test_binary_absorption_computes_edges_at_the_callers_cap(self, alg_a1):
+        # at cap 2 both F(2) and every edge pair are out of reach
+        assert not free_algebra(alg_a1, 2, cap=2).complete
+        with pytest.raises(CapExceeded, match="neither absorption method"):
+            is_2_absorbing(alg_a1, frozenset({0}), cap=2)
 
     def test_non_taylor_algebra_rejected(self):
         with pytest.raises(NoCyclicWitness):
