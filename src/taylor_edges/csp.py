@@ -10,11 +10,13 @@ constraint relation.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .algebra import (
     OperationTable,
     quotient_algebra,
     sg_closure,
-    tuple_to_index,
 )
 from .congruences import (
     centralizer_condition,
@@ -233,11 +234,15 @@ def brute_force_solve(
     variables = instance.variables
     pos = {v: i for i, v in enumerate(variables)}
     sizes = [instance.domain(v).size for v in variables]
-    # constraints become checkable once their last-positioned variable is set
-    ready: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in variables]
+    # a constraint is checked once its last-positioned variable is set; an
+    # itemgetter reads its tuple, except that a unary one needs a 1-tuple
+    ready: list[list[tuple[Callable, frozenset]]] = [[] for _ in variables]
     for c in instance.constraints:
         idxs = tuple(pos[v] for v in c.scope)
-        ready[max(idxs)].append((idxs, c.tuples))
+        read = operator.itemgetter(*idxs)
+        if len(idxs) == 1:
+            read = lambda a, j=idxs[0]: (a[j],)
+        ready[max(idxs)].append((read, c.tuples))
 
     solutions: list[tuple[int, ...]] = []
     assignment = [0] * len(variables)
@@ -248,15 +253,18 @@ def brute_force_solve(
             return first_only
         for v in range(sizes[i]):
             assignment[i] = v
-            if all(
-                tuple(assignment[j] for j in idxs) in tuples
-                for idxs, tuples in ready[i]
-            ):
+            for read, tuples in ready[i]:
+                if read(assignment) not in tuples:
+                    break
+            else:
                 if backtrack(i + 1):
                     return True
         return False
 
     backtrack(0)
+    # backtrack holds itself through its closure: break that cycle, so what
+    # it holds is freed now rather than at some later garbage collection
+    del backtrack
     if not solutions:
         return SolveResult("unsat", ())
     return SolveResult("sat", tuple(solutions))
@@ -266,199 +274,189 @@ def brute_force_solve(
 # (k, l)-minimality
 
 
-# A relation on a scope is an int over a fixed list of rows: bit p is set when
-# row p is in the relation.  A scope of size <= l has as rows the product of
-# its domains, in row-major order.  An original constraint wider than l has its
-# own tuples as rows, so its cost follows the size of its relation, not of the
-# product of its domains.
+@functools.lru_cache(maxsize=256)
+def _sweep_plan(n: int, k: int, l: int):
+    """The scope pairs that a sweep over n variables visits, for any domains.
 
-_CACHE_SIZE = 4096
+    Returns (combos, ranks, subs, narrow).  `combos[r]` lists the r-subsets
+    of range(n) in lexicographic order, for 1 <= r <= min(l, n), and
+    `ranks[r]` numbers them.  `subs[r]` holds, for each set P of
+    min(k, r - 1) positions, the row of every r-scope's sub-scope on P.
+    `narrow[s]` lists the (r, P) whose projections meet in the s-scopes, with
+    the order that sorts their concatenated sub-scope rows and the start of
+    each row's run in that order.
+    """
+    top = min(l, n)
+    combos = {r: list(itertools.combinations(range(n), r)) for r in range(1, top + 1)}
+    ranks = {r: {c: i for i, c in enumerate(cs)} for r, cs in combos.items()}
+    subs: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
+    sources = collections.defaultdict(list)
+    for r in range(2, top + 1):
+        s = min(k, r - 1)
+        subs[r] = []
+        for P in itertools.combinations(range(r), s):
+            rows = np.array([ranks[s][tuple(c[p] for p in P)] for c in combos[r]], dtype=np.intp)
+            subs[r].append((P, rows))
+            sources[s].append((r, P, rows))
+    # grouped in Python once per plan, which keeps numpy's search code out of
+    # the memory of a process that minimizes
+    narrow = {}
+    for s, srcs in sources.items():
+        rows = [row for _, _, sub_rows in srcs for row in sub_rows.tolist()]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        ordered = [rows[at] for at in order]
+        starts = [bisect.bisect_left(ordered, t) for t in range(len(combos[s]))]
+        narrow[s] = ([(r, P) for r, P, _ in srcs], np.array(order), np.array(starts))
+    return combos, ranks, subs, narrow
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _shape_tuples(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The tuples of a product of domains of sizes `shape`, in row-major order."""
-    return tuple(itertools.product(*map(range, shape)))
+@functools.lru_cache(maxsize=256)
+def _cell_tuples(r: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The cells of a (d, ..., d) array of r axes, in row-major order."""
+    return tuple(itertools.product(range(d), repeat=r))
 
 
-def _positions_mask(positions, width: int) -> int:
-    """The int with exactly the given bits set, built in one pass."""
-    bits = bytearray((width + 7) >> 3)
-    for p in positions:
-        bits[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(bits, "little")
-
-
-def _fibers(rows, sub_shape: tuple[int, ...], idx: tuple[int, ...]) -> tuple[int, ...]:
-    """For each tuple j (row-major) of a product of domains of sizes
-    `sub_shape`, the mask of the `rows` whose coordinates `idx` form j."""
-    positions: list[list[int]] = [[] for _ in range(math.prod(sub_shape))]
-    for p, t in enumerate(rows):
-        positions[tuple_to_index([t[i] for i in idx], sub_shape)].append(p)
-    return tuple(_positions_mask(ps, len(rows)) for ps in positions)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _product_fibers(shape: tuple[int, ...], idx: tuple[int, ...]) -> tuple[int, ...]:
-    return _fibers(_shape_tuples(shape), tuple(shape[i] for i in idx), idx)
-
-
-def _project_mask(mask: int, fibers: tuple[int, ...]) -> int:
-    out = 0
-    for j, f in enumerate(fibers):
-        if mask & f:
-            out |= 1 << j
+def _hit(rows: np.ndarray, positions, d: int) -> np.ndarray:
+    """The (d, ..., d) array that marks the projections of `rows` (one tuple
+    per row) onto `positions`."""
+    out = np.zeros((d,) * len(positions), dtype=bool)
+    out[tuple(rows[:, list(positions)].T)] = True
     return out
 
 
-def _mask_tuples(mask: int, rows) -> frozenset:
-    return frozenset(rows[p] for p, b in enumerate(bin(mask)[:1:-1]) if b == "1")
+def _project(rel: np.ndarray, positions) -> np.ndarray:
+    """The projections of the rows of a (rows, d, ..., d) array onto
+    `positions`, one flat row each.  Every other axis is ORed away slice by
+    slice, several times faster than `any` over it."""
+    for q in reversed(range(rel.ndim - 1)):
+        if q not in positions:
+            at = (slice(None),) * (q + 1)
+            out = rel[at + (0,)].copy()
+            for x in range(1, rel.shape[q + 1]):
+                out |= rel[at + (x,)]
+            rel = out
+    return rel.reshape(len(rel), -1)
 
 
 def kl_minimize(instance: Instance, k: int = 2, l: int = 3) -> tuple[Instance, str]:
     """Refine to a (k, l)-minimal instance with the same solution set.
 
     One constraint is introduced per scope of size <= l (initialized from the
-    projections of the original constraints covering it, or the full
-    product); original constraints with larger scopes are kept.  Projection /
-    restriction then runs over scope pairs S' < S with |S'| <= k as a
-    worklist: the pairs are listed once per instance, processing S intersects
-    each S' with the projection of S and filters S by every S', and a scope
-    is queued again only when a sub-relation it filters by shrank.
-    Relations are bitmasks: over the product of the domains for a scope of
-    size <= l, over the constraint's own tuples for a wider one.
+    original constraint on it, or else from the projections of the original
+    constraints covering it, or the full product); original constraints with
+    larger scopes are kept.  The scopes of one size r form one boolean array
+    of shape (C(n, r), d, ..., d), one row per r-subset of the variables in
+    lexicographic order, where d is the largest domain; cells outside a
+    scope's domains stay False.  A constraint wider than l is a vector over
+    its own tuples, so it costs what its tuples cost.
 
-    On a satisfiable instance the result is the greatest common fixpoint of
-    those operations below the initial relations, so it does not depend on
-    the order of the queue.  Returns (instance, "unsat") as soon as a
-    relation empties; the other relations of that instance are an
-    intermediate state of the propagation, not a fixpoint.
+    Projection and restriction run over the pairs S' < S with |S'| =
+    min(k, |S| - 1), planned once per (n, k, l); the pairs with smaller S'
+    follow from these along a chain of sub-scopes.  A sweep narrows each
+    sub-relation to the AND of its super-scopes' projections, largest first,
+    then filters each scope by its sub-relations, smallest first, until a
+    filter step removes nothing.  Narrowing yields the covers of sub-scopes
+    of size <= k, so only those of size in (k, l] are projected explicitly.
+
+    The result is the greatest common fixpoint of those operations below the
+    initial relations, independent of their order; the status is "unsat"
+    when one of its relations is empty.
     """
     if not 1 <= k <= l:
         raise ValueError("need 1 <= k <= l")
     variables = instance.variables
     order = {v: i for i, v in enumerate(variables)}
-    dom = instance.domains()
-
-    def shape_of(scope: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(dom[v].size for v in scope)
-
-    given: dict[tuple[str, ...], frozenset] = {}
+    given: dict[tuple[int, ...], frozenset] = {}
     for c in instance.constraints:
-        canonical = tuple(sorted(c.scope, key=order.get))
+        idx = tuple(map(order.__getitem__, c.scope))
+        scope = tuple(sorted(idx))
         tuples = c.tuples
-        if canonical != c.scope:
-            perm = [c.scope.index(v) for v in canonical]
+        if scope != idx:
+            perm = [idx.index(i) for i in scope]
             tuples = frozenset(tuple(t[i] for i in perm) for t in tuples)
-        given[canonical] = given.get(canonical, tuples) & tuples
-    original: dict[tuple[str, ...], int] = {}
-    wide_rows: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
-    for scope, tuples in given.items():
-        if len(scope) > l:
-            wide_rows[scope] = tuple(sorted(tuples))
-            original[scope] = (1 << len(tuples)) - 1
-        else:
-            shape = shape_of(scope)
-            positions = (tuple_to_index(t, shape) for t in tuples)
-            original[scope] = _positions_mask(positions, math.prod(shape))
+        given[scope] = given.get(scope, tuples) & tuples
+    arrays = {
+        scope: np.array(sorted(tuples), dtype=np.intp).reshape(-1, len(scope))
+        for scope, tuples in given.items()
+    }
 
-    def fibers_of(
-        scope: tuple[str, ...], shape: tuple[int, ...], idx: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        if scope in wide_rows:
-            return _fibers(wide_rows[scope], tuple(shape[i] for i in idx), idx)
-        return _product_fibers(shape, idx)
-
+    combos, ranks, subs, narrow = _sweep_plan(len(variables), k, l)
+    sizes = np.array([alg.size for _, alg in instance.domain_list], dtype=np.intp)
+    d = int(sizes.max(initial=1))
+    valid = np.arange(d) < sizes[:, None]
+    cube: dict[int, np.ndarray] = {}
+    for r, cs in combos.items():
+        scopes = np.array(cs, dtype=np.intp)
+        rel = np.ones((len(cs),) + (d,) * r, dtype=bool)
+        for q in range(r):
+            rel &= valid[scopes[:, q]].reshape((len(cs),) + (1,) * q + (d,) + (1,) * (r - q - 1))
+        cube[r] = rel
+    flat = {r: rel.reshape(len(rel), -1) for r, rel in cube.items()}
+    for scope, rows in arrays.items():
+        if len(scope) <= l:
+            cube[len(scope)][ranks[len(scope)][scope]] = _hit(rows, range(len(scope)), d)
     # only original constraints can cover a scope that is not one of them
-    cover: dict[tuple[str, ...], int] = {}
-    for scope, mask in original.items():
-        shape = shape_of(scope)
-        for r in range(1, min(l, len(scope) - 1) + 1):
-            positions = itertools.combinations(range(len(scope)), r)
-            for idx, sub in zip(positions, itertools.combinations(scope, r)):
-                if sub not in original:
-                    proj = _project_mask(mask, fibers_of(scope, shape, idx))
-                    cover[sub] = cover.get(sub, proj) & proj
-    relations: dict[tuple[str, ...], int] = {}
-    for size in range(1, l + 1):
-        for combo in itertools.combinations(variables, size):
-            if combo in original:
-                relations[combo] = original[combo]
-            elif combo in cover:
-                relations[combo] = cover[combo]
-            else:
-                relations[combo] = (1 << math.prod(shape_of(combo))) - 1
-    big = {s: original[s] for s in wide_rows}
+    for scope, rows in arrays.items():
+        for s in range(k + 1, min(l, len(scope) - 1) + 1):
+            for P in itertools.combinations(range(len(scope)), s):
+                sub = tuple(scope[p] for p in P)
+                if sub not in given:
+                    cube[s][ranks[s][sub]] &= _hit(rows, P, d)
+    # per wide constraint: its alive tuples, the rows of its k-sub-scopes, and
+    # the flat index in flat[k] of each tuple's projection onto each of them
+    wide = {}
+    for scope, rows in arrays.items():
+        if len(scope) > l:
+            positions = list(itertools.combinations(range(len(scope)), k))
+            sub_rows = np.array([ranks[k][tuple(scope[p] for p in P)] for P in positions],
+                                dtype=np.intp)
+            keys = np.array([np.ravel_multi_index(tuple(rows[:, list(P)].T), (d,) * k)
+                             for P in positions], dtype=np.intp).reshape(len(positions), -1)
+            keys += sub_rows[:, None] * d**k
+            wide[scope] = (np.ones(len(rows), dtype=bool), sub_rows, keys)
 
-    scopes = list(relations) + list(big)
-    masks = list(relations.values()) + list(big.values())
-    ident = {s: i for i, s in enumerate(scopes)}
-    subs: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in scopes]
-    supers: list[list[int]] = [[] for _ in scopes]
-    shapes = [shape_of(s) for s in scopes]
-    for i, scope in enumerate(scopes):
-        for r in range(1, min(k, len(scope) - 1) + 1):
-            positions = itertools.combinations(range(len(scope)), r)
-            for idx, sub in zip(positions, itertools.combinations(scope, r)):
-                t = ident[sub]
-                subs[i].append((t, fibers_of(scope, shapes[i], idx)))
-                supers[t].append(i)
+    def cells_left() -> int:
+        masks = [*flat.values(), *(alive for alive, _, _ in wide.values())]
+        return sum(map(np.count_nonzero, masks))
 
-    def result(status: str) -> tuple[Instance, str]:
-        cons = []
-        for s in sorted(relations) + sorted(big):
-            i = ident[s]
-            rows = wide_rows[s] if s in wide_rows else _shape_tuples(shapes[i])
-            cons.append(Constraint(s, _mask_tuples(masks[i], rows)))
-        return instance.with_constraints(tuple(cons)), status
+    while True:
+        for s in range(min(k, len(flat)), 0, -1):
+            if s in narrow:
+                sources, perm, starts = narrow[s]
+                projections = np.concatenate([_project(cube[r], P) for r, P in sources])
+                flat[s] &= np.logical_and.reduceat(projections[perm], starts)
+            if s == k:
+                for alive, sub_rows, keys in wide.values():
+                    hit = np.zeros(flat[k].size, dtype=bool)
+                    hit[keys[:, alive]] = True
+                    flat[k][sub_rows] &= hit.reshape(flat[k].shape)[sub_rows]
+        narrowed = cells_left()
+        for r, pairs in subs.items():
+            for P, rows in pairs:
+                shape = tuple(d if q in P else 1 for q in range(r))
+                cube[r] &= cube[len(P)][rows].reshape((len(rows),) + shape)
+        for alive, _, keys in wide.values():
+            alive &= flat[k].reshape(-1)[keys].all(axis=0)
+        if cells_left() == narrowed:
+            break
 
-    if not all(masks):
-        return result("unsat")
-    queue = collections.deque(i for i in reversed(range(len(scopes))) if subs[i])
-    queued = [bool(s) for s in subs]
-    while queue:
-        s = queue.popleft()
-        queued[s] = False
-        m = masks[s]
-        shrunk: list[int] = []
-        # narrow each sub-relation to the projection of m and filter m by it,
-        # until m stops shrinking
-        while True:
-            before = m
-            for t, fibers in subs[s]:
-                mt = masks[t]
-                kept = allowed = 0
-                for j, f in enumerate(fibers):
-                    if mt >> j & 1 and m & f:
-                        kept |= 1 << j
-                        allowed |= f
-                if kept != mt:
-                    masks[t] = kept
-                    shrunk.append(t)
-                    if not kept:
-                        masks[s] = m
-                        return result("unsat")
-                m &= allowed
-            if not m:
-                masks[s] = m
-                return result("unsat")
-            if m == before:
-                break
-        masks[s] = m
-        # Every sub-relation of s is now the projection of m, so s and its
-        # sub-scopes agree with each other.  A scope outside them that filters
-        # by a shrunk sub-relation must be redone.  A larger scope that filters
-        # by s itself need not: whatever m lost, it lost for a sub-relation
-        # that scope filters by too.
-        if shrunk:
-            inside = {t for t, _ in subs[s]}
-            inside.add(s)
-            for t in shrunk:
-                for u in supers[t]:
-                    if not queued[u] and u not in inside:
-                        queued[u] = True
-                        queue.append(u)
-    return result("sat")
+    relations: dict[tuple[str, ...], frozenset] = {}
+    for r, rel in flat.items():
+        cells = _cell_tuples(r, d)
+        rows, cols = (a.tolist() for a in np.nonzero(rel))
+        bounds = [bisect.bisect_left(rows, i) for i in range(len(rel) + 1)]
+        for i, name in enumerate(itertools.combinations(variables, r)):
+            relations[name] = frozenset(map(cells.__getitem__, cols[bounds[i]:bounds[i + 1]]))
+    big = {
+        tuple(map(variables.__getitem__, scope)):
+            frozenset(map(tuple, arrays[scope][alive].tolist()))
+        for scope, (alive, _, _) in wide.items()
+    }
+    cons = tuple(Constraint(s, relations[s]) for s in sorted(relations)) + tuple(
+        Constraint(s, big[s]) for s in sorted(big)
+    )
+    status = "sat" if all(relations.values()) and all(big.values()) else "unsat"
+    return instance.with_constraints(cons), status
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,10 @@ def shift_tolerance_chain(
     directed s-path c_i = e_0 ->s e_1 ->s .. ->s e_m = d_i, produces d_0..d_k
     via the iteration e_{j,l+1} = f(e_{j,l}, e_{i,l+1}), certifying
     c_j ->s* d_j and (d_j, d_{j+1}) in S.
+
+    Without a `graph`, the edges come from `compute_edges` at its default
+    cap.  A step of the s-path that the graph left undecided raises
+    CapExceeded: its cyclic search outgrew the graph's closure cap.
     """
     if not tolerance.is_tolerance(alg):
         raise PreconditionViolated("S is not a tolerance")
@@ -310,6 +314,11 @@ def shift_tolerance_chain(
         raise PreconditionViolated("s-path must start at the chain entry")
     s = graph.edges("s")
     for u, v in zip(s_path, s_path[1:]):
+        if u != v and (u, v) in graph.unknown:
+            raise CapExceeded(
+                f"({u},{v}) is undecided: its cyclic search outgrew the closure cap "
+                f"(compute_edges' cap) of the edge graph of {alg.name}"
+            )
         if u != v and (u, v) not in s:
             raise PreconditionViolated(f"({u},{v}) is not an s-edge")
 

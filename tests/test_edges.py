@@ -19,7 +19,7 @@ from taylor_edges.edges import (
     s_path_between,
     shift_tolerance_chain,
 )
-from taylor_edges.errors import PreconditionViolated
+from taylor_edges.errors import CapExceeded, PreconditionViolated
 from taylor_edges.terms import universal_meet
 
 
@@ -175,6 +175,16 @@ class TestShiftToleranceChain:
         meet = universal_meet(alg_a1)
         out = shift_tolerance_chain(alg_a1, tol, (1,), 0, (1, 0), meet)
         assert out.chain == (0,)
+
+    def test_undecided_step_names_the_cap(self, alg_a1):
+        # at cap 2 the cyclic search of every proper pair of A1 is incomplete,
+        # so (1, 0) is unknown, not a missing s-edge
+        graph = compute_edges(alg_a1, cap=2)
+        assert (1, 0) in graph.unknown
+        tol = BinaryRelation.from_pairs(4, 4, [(a, a) for a in range(4)])
+        meet = universal_meet(alg_a1)
+        with pytest.raises(CapExceeded, match=r"\(1,0\) is undecided.*cap"):
+            shift_tolerance_chain(alg_a1, tol, (1,), 0, (1, 0), meet, graph=graph)
 
     def test_rejects_non_tolerance(self, z2):
         meet = universal_meet(z2)

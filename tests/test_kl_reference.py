@@ -3,9 +3,9 @@
 `reference_kl.kl_minimize` is the pairwise sweep as it stood before the
 worklist rewrite.  Both compute the greatest fixpoint of the same projection
 and restriction steps, so on a satisfiable instance the library must return an
-equal `Instance`.  On an unsatisfiable one both stop when a relation empties,
-at a state that depends on the order of the steps: the status and the scope
-list must agree, and the library's answer must hold an empty relation.
+equal `Instance`.  On an unsatisfiable one the reference stops when a relation
+empties, at a state that depends on the order of its steps: the status and the
+scope list must agree, and the library's answer must hold an empty relation.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import pytest
 
 import reference_kl
 from helpers import planted_instance, random_instance
+from taylor_edges.algebra import induced_subalgebra, product_algebra
+from taylor_edges.catalog import a1, two_element_majority
 from taylor_edges.csp import Instance, kl_minimize
 
 KL_PAIRS = ((1, 2), (2, 3), (3, 3), (1, 3))
@@ -119,3 +121,57 @@ def test_empty_relation_is_unsat_without_propagation(z2):
     inst = Instance.make("empty", [("x", z2)], [(("x",), set())])
     for k, l in KL_PAIRS:
         assert assert_matches_reference(inst, k, l) == "unsat"
+
+
+def planted_random(rng, domains, n_constraints: int, name: str) -> Instance:
+    """Random relations on 1-3 variables, each holding the projection of one
+    planted solution, so the instance is satisfiable."""
+    dom = dict(domains)
+    variables = list(dom)
+    solution = {v: int(rng.integers(alg.size)) for v, alg in domains}
+    constraints = []
+    for _ in range(n_constraints):
+        width = int(rng.integers(1, min(3, len(variables)) + 1))
+        scope = tuple(variables[i] for i in rng.choice(len(variables), size=width, replace=False))
+        space = list(itertools.product(*(range(dom[v].size) for v in scope)))
+        picks = rng.choice(len(space), size=int(rng.integers(1, len(space) + 1)), replace=False)
+        rows = {space[i] for i in picks} | {tuple(solution[v] for v in scope)}
+        constraints.append((scope, rows))
+    return Instance.make(name, domains, constraints)
+
+
+def edge_case_instances(members) -> list[Instance]:
+    """No variables, fewer variables than l, a one-element domain, domains of
+    sizes 1-8 side by side (most cells of the padded arrays lie outside a
+    scope's domains), and a wide constraint with no tuples."""
+    rng = np.random.default_rng(7000)
+    square = product_algebra(a1(), a1())
+    by_size = {m.size: m for m in members}
+    for elems in ({0, 1, 2, 3, 7}, {0, 1, 2, 4, 8, 10}, {0, 1, 2, 3, 4, 8, 11}):
+        by_size[len(elems)] = induced_subalgebra(square, frozenset(elems))
+    by_size[8] = product_algebra(a1(), two_element_majority())
+    assert sorted(by_size) == list(range(1, 9))
+
+    out = [Instance.make("no-variables", [], [])]
+    for n_vars in (1, 2):
+        for _ in range(4):
+            out.append(random_instance(rng, members, max_vars=n_vars, max_constraints=3))
+    one = [("p", by_size[1]), ("q", by_size[3]), ("r", by_size[4]), ("s", by_size[2])]
+    out.append(planted_random(rng, one, 5, "one-element"))
+    for i in range(4):
+        # five consecutive sizes, cyclically, so the four instances cover 1-8
+        domains = [(f"m{j}", by_size[1 + (5 * i + j) % 8]) for j in range(5)]
+        out.append(planted_random(rng, domains, 4, f"sizes-1-8-{i}"))
+    wide = [(f"w{j}", by_size[2 + j % 3]) for j in range(5)]
+    out.append(Instance.make("empty-wide", wide, [(("w0", "w1", "w2", "w3"), set()),
+                                                  (("w1", "w4"), {(0, 1), (1, 0)})]))
+    return out
+
+
+@pytest.mark.parametrize("k,l", KL_PAIRS)
+def test_edge_case_instances(ternary_template, k, l):
+    instances = edge_case_instances(list(ternary_template.members))
+    statuses = {inst.name: assert_matches_reference(inst, k, l) for inst in instances}
+    assert statuses["no-variables"] == "sat" and statuses["empty-wide"] == "unsat"
+    assert statuses["one-element"] == "sat"
+    assert all(statuses[f"sizes-1-8-{i}"] == "sat" for i in range(4))
