@@ -277,17 +277,20 @@ def _audit_transport(alg: FiniteAlgebra, rows, cap: int) -> bool:
     proper = [
         th for th in report.all_congruences if not th.is_zero() and not th.is_one()
     ]
+    # a subset's witness does not depend on the congruence it is pushed along
+    witnesses = [
+        (r.subset, _binary_witness(alg, r.subset, cap)[0])
+        for r in rows
+        if proper and r.two_absorbing
+    ]
     for theta in proper:
         quot = quotient_algebra(alg, theta)
         blocks_of = theta.blocks_of
-        for r in rows:
-            if not r.two_absorbing:
-                continue
-            witness, _ = _binary_witness(alg, r.subset, cap)
+        for subset, witness in witnesses:
             if witness is None:
                 ok = False
                 continue
-            image = frozenset(blocks_of[x] for x in r.subset)
+            image = frozenset(blocks_of[x] for x in subset)
             pushed = push_to_quotient(witness, theta)
             if pushed is None or not _witnesses_2abs(pushed, image, quot.size):
                 ok = False

@@ -798,13 +798,6 @@ def derive_algebra(alg: FiniteAlgebra, kind: str, argument) -> FiniteAlgebra:
     raise ValueError(f"unknown derivation kind {kind!r}")
 
 
-def tuple_to_index(t: Sequence[int], sizes: Sequence[int]) -> int:
-    idx = 0
-    for v, s in zip(t, sizes):
-        idx = idx * s + v
-    return idx
-
-
 def flat_indices(args: Sequence[int], n: int, arity: int) -> list[int]:
     """The flat positions, in a table of side n, of every arity-tuple over
     `args`, listed in row-major order of the tuples' positions in `args`."""

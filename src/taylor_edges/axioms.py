@@ -112,6 +112,19 @@ class _Recorder:
         self.checks.append(result)
         return self.fail_fast and result.status == FAIL
 
+    def check(self, name: str, passed: str, failures) -> bool:
+        """Records each (check, detail, counterexample) of `failures` as a
+        FAIL, stopping at the first under fail-fast, or one PASS of `name`
+        with detail `passed` when there is none.  True when fail-fast stops
+        verification."""
+        mark = self.mark()
+        for check, detail, counterexample in failures:
+            if self.record(CheckResult(check, FAIL, detail, counterexample)):
+                return True
+        if self.clean_since(mark):
+            self.record(CheckResult(name, PASS, passed))
+        return False
+
     def mark(self) -> int:
         return len(self.checks)
 
@@ -193,107 +206,76 @@ def _base_axioms(alg, graph, rec, cap) -> bool:
         affine, majority, unknown = _structures(alg, cap)
     except CapExceeded as exc:
         return rec.record(CheckResult("base-axioms", SKIP, f"{name}: {exc}"))
-    for sub_set in unknown:
-        rec.record(
-            CheckResult(
-                "base-axioms", SKIP, f"{name}: structure of {sorted(sub_set)} unknown"
-            )
-        )
+    for sub in map(sorted, unknown):
+        rec.record(CheckResult("base-axioms", SKIP, f"{name}: structure of {sub} unknown"))
 
-    asm, as_, sm, s = (graph.edges(x) for x in ("asm", "as", "sm", "s"))
+    edges = {x: graph.edges(x) for x in ("asm", "as", "sm", "s")}
     rec.bump("affine-subuniverses", len(affine))
     rec.bump("majority-subuniverses", len(majority))
+    # Base Axioms 1 and 2: (axiom, structure, its subuniverses, the flavor that
+    # must join each pair of one, the flavor that none may have)
+    for axiom, structure, subs, needed, forbidden in (
+        (1, "affine", affine, "as", "sm"), (2, "majority", majority, "sm", "as")
+    ):
+        failures = _subuniverse_failures(name, edges, axiom, structure, subs, needed, forbidden)
+        passed = f"{name}: {len(subs)} {structure} subuniverses"
+        if rec.check(f"base-axiom-{axiom}", passed, failures):
+            return True
+    failures = _semilattice_failures(alg, edges, rec)
+    return rec.check("base-axiom-3", f"{name}: all ordered pairs checked", failures)
 
-    mark = rec.mark()
-    for sub_set in affine:
-        for a, b in itertools.permutations(sorted(sub_set), 2):
-            if (a, b) not in as_:
-                if rec.record(CheckResult(
-                    "base-axiom-1", FAIL,
-                    f"{name}: affine subuniverse {sorted(sub_set)} misses as-edge ({a},{b})",
-                    (name, "as", a, b),
-                )):
-                    return True
-            if (a, b) in sm:
-                if rec.record(CheckResult(
-                    "stronger-base-axiom-1", FAIL,
-                    f"{name}: sm-edge ({a},{b}) inside affine subuniverse {sorted(sub_set)}",
-                    (name, "sm", a, b),
-                )):
-                    return True
-    if rec.clean_since(mark):
-        rec.record(CheckResult("base-axiom-1", PASS, f"{name}: {len(affine)} affine subuniverses"))
 
-    mark = rec.mark()
-    for sub_set in majority:
-        for a, b in itertools.permutations(sorted(sub_set), 2):
-            if (a, b) not in sm:
-                if rec.record(CheckResult(
-                    "base-axiom-2", FAIL,
-                    f"{name}: majority subuniverse {sorted(sub_set)} misses sm-edge ({a},{b})",
-                    (name, "sm", a, b),
-                )):
-                    return True
-            if (a, b) in as_:
-                if rec.record(CheckResult(
-                    "stronger-base-axiom-2", FAIL,
-                    f"{name}: as-edge ({a},{b}) inside majority subuniverse {sorted(sub_set)}",
-                    (name, "as", a, b),
-                )):
-                    return True
-    if rec.clean_since(mark):
-        rec.record(CheckResult("base-axiom-2", PASS, f"{name}: {len(majority)} majority subuniverses"))
+def _subuniverse_failures(name, edges, axiom, structure, subs, needed, forbidden):
+    """Base Axiom `axiom` and its stronger form on every pair of each of `subs`."""
+    for sub_set in subs:
+        sub = sorted(sub_set)
+        for a, b in itertools.permutations(sub, 2):
+            if (a, b) not in edges[needed]:
+                yield (f"base-axiom-{axiom}", f"{name}: {structure} subuniverse {sub} "
+                       f"misses {needed}-edge ({a},{b})", (name, needed, a, b))
+            if (a, b) in edges[forbidden]:
+                yield (f"stronger-base-axiom-{axiom}", f"{name}: {forbidden}-edge ({a},{b}) "
+                       f"inside {structure} subuniverse {sub}", (name, forbidden, a, b))
 
-    mark = rec.mark()
+
+def _semilattice_failures(alg, edges, rec):
+    """Base Axiom 3 and its stronger form on every ordered pair of `alg`."""
+    name, s = alg.name, edges["s"]
     for a, b in itertools.permutations(range(alg.size), 2):
         witness = semilattice_term(alg, a, b) is not None
         rec.bump("semilattice-pairs-tested")
         if witness and (a, b) not in s:
-            if rec.record(CheckResult(
-                "base-axiom-3", FAIL,
-                f"{name}: semilattice term on ({a},{b}) but no s-edge",
-                (name, "s", a, b),
-            )):
-                return True
+            yield ("base-axiom-3", f"{name}: semilattice term on ({a},{b}) but no s-edge",
+                   (name, "s", a, b))
         if not witness and (a, b) in s:
-            if rec.record(CheckResult(
-                "stronger-base-axiom-3", FAIL,
-                f"{name}: s-edge ({a},{b}) without a semilattice term witness",
-                (name, "s", a, b),
-            )):
-                return True
-        if (a, b) in s and (b, a) in asm:
-            if rec.record(CheckResult(
-                "stronger-base-axiom-3", FAIL,
-                f"{name}: s-edge ({a},{b}) coexists with reverse asm-edge ({b},{a})",
-                (name, "asm", b, a),
-            )):
-                return True
-    if rec.clean_since(mark):
-        rec.record(CheckResult("base-axiom-3", PASS, f"{name}: all ordered pairs checked"))
-    return False
+            yield ("stronger-base-axiom-3", f"{name}: s-edge ({a},{b}) without a semilattice "
+                   "term witness", (name, "s", a, b))
+        if (a, b) in s and (b, a) in edges["asm"]:
+            yield ("stronger-base-axiom-3", f"{name}: s-edge ({a},{b}) coexists with reverse "
+                   f"asm-edge ({b},{a})", (name, "asm", b, a))
 
 
 def _homomorphism_axioms(src, dst, graphs, rec) -> bool:
     homs = homomorphisms_between(src, dst)
+    rec.bump("homomorphisms", len(homs))
+    passed = f"{src.name}->{dst.name}: {len(homs)} homomorphisms"
+    return rec.check("homomorphism-axioms", passed, _homomorphism_failures(src, dst, homs, graphs))
+
+
+def _homomorphism_failures(src, dst, homs, graphs):
+    """Homomorphism Axioms 1 and 2 along each of `homs`."""
     flavors = ("as", "sm", "s")
     src_edges = {flavor: graphs[src].edges(flavor) for flavor in flavors}
     dst_edges = {flavor: graphs[dst].edges(flavor) for flavor in flavors}
     src_proper = {flavor: graphs[src].proper(flavor) for flavor in ("as", "sm")}
     sgs: dict[tuple[int, int], frozenset] = {}  # (a, c) -> Sg{a, c} in src
-    rec.bump("homomorphisms", len(homs))
-    mark = rec.mark()
     for h in homs:
+        via, at = f"{src.name}->{dst.name} via {h.mapping}", (src.name, dst.name, h.mapping)
         for flavor in ("as", "sm"):
             for a, b in src_proper[flavor]:
                 if (h(a), h(b)) not in dst_edges[flavor]:
-                    if rec.record(CheckResult(
-                        "homomorphism-axiom-1", FAIL,
-                        f"{src.name}->{dst.name} via {h.mapping}: {flavor}-edge ({a},{b}) "
-                        f"maps to missing ({h(a)},{h(b)})",
-                        (src.name, dst.name, h.mapping, flavor, a, b),
-                    )):
-                        return True
+                    yield ("homomorphism-axiom-1", f"{via}: {flavor}-edge ({a},{b}) maps to "
+                           f"missing ({h(a)},{h(b)})", (*at, flavor, a, b))
         image = sorted(set(h.mapping))
         minimal: dict[tuple[int, int], list[int]] = {}  # (a, d) -> lifting candidates
         for flavor in flavors:
@@ -312,18 +294,8 @@ def _homomorphism_axioms(src, dst, graphs, rec) -> bool:
                         ]
                     for b_prime in minimal[a, d]:
                         if (a, b_prime) not in src_edges[flavor]:
-                            if rec.record(CheckResult(
-                                "homomorphism-axiom-2", FAIL,
-                                f"{src.name}->{dst.name} via {h.mapping}: "
-                                f"{flavor}-edge ({h(a)},{d}) does not lift to ({a},{b_prime})",
-                                (src.name, dst.name, h.mapping, flavor, a, b_prime),
-                            )):
-                                return True
-    if rec.clean_since(mark):
-        rec.record(CheckResult(
-            "homomorphism-axioms", PASS, f"{src.name}->{dst.name}: {len(homs)} homomorphisms"
-        ))
-    return False
+                            yield ("homomorphism-axiom-2", f"{via}: {flavor}-edge ({h(a)},{d}) "
+                                   f"does not lift to ({a},{b_prime})", (*at, flavor, a, b_prime))
 
 
 def _joint_masks(keys, arity, rec) -> dict[tuple, int] | None:
@@ -403,51 +375,51 @@ def _relational_product(check, axioms, algs, choices, rec, masks) -> bool:
     its slots' masks, or by `_hypothesis_closure` where its axiom's joint
     closure was too large; one `check` PASS when none fails.  True when
     fail-fast stops verification."""
-    mark = rec.mark()
     names = "x".join(alg.name for alg in algs)
+    failures = _relational_failures(axioms, algs, names, choices, rec, masks)
+    stopped = rec.check(check, names, failures)
+    failures.close()  # counts the instances of an axiom that fail-fast cut short
+    return stopped
+
+
+def _relational_failures(axioms, algs, names, choices, rec, masks):
     for name, slots in axioms:
         joint = masks[name]
         slot_choices = [choices[name, alg][i] for i, alg in enumerate(algs)]
         # without a joint closure every mask is 0: each instance closes on its own
         bits = [[0 if joint is None else joint[key] for _, key in slot] for slot in slot_choices]
-        n, stopped = 0, False
+        n = 0
         instances = zip(itertools.product(*slot_choices), itertools.product(*bits))
-        for n, (instance, slot_bits) in enumerate(instances, 1):
-            if functools.reduce(operator.and_, slot_bits):
-                continue
-            edges = tuple(edge for edge, _ in instance)
-            keys = [key for _, key in instance]
-            target = tuple(x2 for _, x2 in edges)
-            if joint is None:
-                closure = _hypothesis_closure(algs, keys)
-                if target in closure:
+        try:
+            for n, (instance, slot_bits) in enumerate(instances, 1):
+                if functools.reduce(operator.and_, slot_bits):
                     continue
-            conclusion = "(" + ",".join(map(str, target)) + ")"
-            if name == "relational-axiom-3":
-                detail = (
-                    f"{names}: sm-edges {','.join(f'({x1},{x2})' for x1, x2 in edges)}: "
-                    f"{conclusion} missing from the generated subproduct"
-                )
-                witness = (*(alg.name for alg in algs), *edges)
-            else:
-                r = sorted(closure if joint is None else _hypothesis_closure(algs, keys))
-                hypotheses = ", ".join(
-                    f"{flavor}({x1},{x2})" for (flavor, _), (x1, x2) in zip(slots, edges)
-                )
-                detail = f"{names}: {hypotheses}: {conclusion} missing from R={r}"
-                witness = (*(alg.name for alg in algs), *edges, tuple(r))
-            if rec.record(CheckResult(name, FAIL, detail, witness)):
-                stopped = True
-                break
-        if n:
-            rec.bump(f"{name}-instances", n)
-            if joint is None:
-                rec.bump("relational-fallback-instances", n)
-        if stopped:
-            return True
-    if rec.clean_since(mark):
-        rec.record(CheckResult(check, PASS, names))
-    return False
+                edges = tuple(edge for edge, _ in instance)
+                keys = [key for _, key in instance]
+                target = tuple(x2 for _, x2 in edges)
+                if joint is None:
+                    closure = _hypothesis_closure(algs, keys)
+                    if target in closure:
+                        continue
+                conclusion = "(" + ",".join(map(str, target)) + ")"
+                if name == "relational-axiom-3":
+                    detail = (
+                        f"{names}: sm-edges {','.join(f'({x1},{x2})' for x1, x2 in edges)}: "
+                        f"{conclusion} missing from the generated subproduct"
+                    )
+                    yield name, detail, (*(alg.name for alg in algs), *edges)
+                else:
+                    r = sorted(closure if joint is None else _hypothesis_closure(algs, keys))
+                    hypotheses = ", ".join(
+                        f"{flavor}({x1},{x2})" for (flavor, _), (x1, x2) in zip(slots, edges)
+                    )
+                    detail = f"{names}: {hypotheses}: {conclusion} missing from R={r}"
+                    yield name, detail, (*(alg.name for alg in algs), *edges, tuple(r))
+        finally:
+            if n:
+                rec.bump(f"{name}-instances", n)
+                if joint is None:
+                    rec.bump("relational-fallback-instances", n)
 
 
 # ---------------------------------------------------------------------------
@@ -470,106 +442,69 @@ def verify_edge_theorems(
                                f"{alg.name}: {len(graph.unknown)} unknown edges"))
         return rec.report()
 
-    asm_comp = component_analysis(graph, "asm")
-    s_comp = component_analysis(graph, "s")
-    asm_edges = graph.proper("asm")
+    name, asm_edges = alg.name, graph.proper("asm")
+    asm_comp, s_comp = component_analysis(graph, "asm"), component_analysis(graph, "s")
+    weak = asm_comp.weak_components
+    rec.check("weak-connectivity", name, [] if asm_comp.is_weakly_connected() else [
+        ("weak-connectivity", f"{name}: asm weak components {weak}", (name, weak))
+    ])
 
-    if asm_comp.is_weakly_connected():
-        rec.record(CheckResult("weak-connectivity", PASS, alg.name))
-    else:
-        rec.record(CheckResult(
-            "weak-connectivity", FAIL,
-            f"{alg.name}: asm weak components {asm_comp.weak_components}",
-            (alg.name, asm_comp.weak_components),
-        ))
-
-    s_min = sorted(s_comp.x_min)
-    reach = graph.reach("asm")
+    s_min, reach = sorted(s_comp.x_min), graph.reach("asm")
     bad = [(a, b) for a in s_min for b in s_min if not (reach[a] >> b & 1 and reach[b] >> a & 1)]
-    if bad:
-        rec.record(CheckResult(
-            "smin-mutually-asm-reachable", FAIL,
-            f"{alg.name}: s-min pair {bad[0]} not mutually asm-reachable",
-            (alg.name, bad[0]),
-        ))
-    else:
-        rec.record(CheckResult("smin-mutually-asm-reachable", PASS,
-                               f"{alg.name}: |s-min|={len(s_min)}"))
+    rec.check("smin-mutually-asm-reachable", f"{name}: |s-min|={len(s_min)}", [
+        ("smin-mutually-asm-reachable", f"{name}: s-min pair {p} not mutually asm-reachable",
+         (name, p)) for p in bad[:1]
+    ])
 
-    asm_min = asm_comp.x_min
-    single = len(asm_comp.sinks) == 1
-    contains = set(s_min) <= set(asm_min)
-    if single and contains:
-        rec.record(CheckResult("asmmin-single-component", PASS, alg.name))
-    else:
-        rec.record(CheckResult(
-            "asmmin-single-component", FAIL,
-            f"{alg.name}: sinks={sorted(asm_comp.sinks)}, "
-            f"s-min={s_min}, asm-min={sorted(asm_min)}",
-            (alg.name, tuple(sorted(asm_min)), tuple(s_min)),
-        ))
+    asm_min = sorted(asm_comp.x_min)
+    single = len(asm_comp.sinks) == 1 and set(s_min) <= set(asm_min)
+    rec.check("asmmin-single-component", name, [] if single else [
+        ("asmmin-single-component",
+         f"{name}: sinks={sorted(asm_comp.sinks)}, s-min={s_min}, asm-min={asm_min}",
+         (name, tuple(asm_min), tuple(s_min)))
+    ])
 
-    viol = [
-        (a, b) for a, b in graph.proper("s") if (b, a) in asm_edges
-    ]
-    if viol:
-        rec.record(CheckResult(
-            "noedge-antisymmetry", FAIL,
-            f"{alg.name}: s-edge {viol[0]} has a reverse asm-edge",
-            (alg.name, viol[0]),
-        ))
-    else:
-        rec.record(CheckResult("noedge-antisymmetry", PASS, alg.name))
+    viol = [(a, b) for a, b in graph.proper("s") if (b, a) in asm_edges]
+    rec.check("noedge-antisymmetry", name, [
+        ("noedge-antisymmetry", f"{name}: s-edge {p} has a reverse asm-edge", (name, p))
+        for p in viol[:1]
+    ])
 
     free3 = free_algebra(alg, 3, cap=cap)
-    missing = None
-    for a, b in sorted(asm_edges):
-        hit = False
-        for t in free3.elements:
-            ess = t.essential_coordinates()
-            if 0 in ess and 2 in ess and any(
-                t.apply(a, c, b) == b for c in range(alg.size)
-            ):
-                hit = True
-                break
-        if not hit:
-            missing = (a, b)
-            break
-    if missing is not None and not free3.complete:
+    # the ternary terms whose outer variables are both essential
+    outer = [t for t in free3.elements if {0, 2} <= set(t.essential_coordinates())]
+    missing = [(a, b) for a, b in sorted(asm_edges)
+               if not any(t.apply(a, c, b) == b for t in outer for c in range(alg.size))][:1]
+    if missing and not free3.complete:
         rec.record(CheckResult("existsaterm-witness", SKIP,
-                               f"{alg.name}: F(3) incomplete, edge {missing} unresolved"))
-    elif missing is not None:
-        rec.record(CheckResult(
-            "existsaterm-witness", FAIL,
-            f"{alg.name}: no ternary witness with essential outer variables "
-            f"for asm-edge {missing}",
-            (alg.name, missing),
-        ))
+                               f"{name}: F(3) incomplete, edge {missing[0]} unresolved"))
     else:
-        rec.record(CheckResult("existsaterm-witness", PASS,
-                               f"{alg.name}: {len(asm_edges)} asm-edges witnessed"))
+        rec.check("existsaterm-witness", f"{name}: {len(asm_edges)} asm-edges witnessed", [
+            ("existsaterm-witness", f"{name}: no ternary witness with essential outer "
+             f"variables for asm-edge {p}", (name, p)) for p in missing
+        ])
 
     if alg.size > subset_cap:
         rec.record(CheckResult("two-absorption-characterization", SKIP,
-                               f"{alg.name}: size above subset cap {subset_cap}"))
+                               f"{name}: size above subset cap {subset_cap}"))
     else:
-        bad_subset = None
-        for bits in range(1, 1 << alg.size):
-            subset = frozenset(i for i in range(alg.size) if bits >> i & 1)
-            try:
-                decision = is_2_absorbing(alg, subset, graph=graph, cap=cap)
-            except SEdgeMismatch as exc:
-                bad_subset = (subset, str(exc))
-                break
-            if decision.absorbing != is_x_closed(graph, "asm", subset):
-                bad_subset = (subset, "decision/closedness mismatch")
-                break
-        if bad_subset is None:
-            rec.record(CheckResult("two-absorption-characterization", PASS, alg.name))
-        else:
-            rec.record(CheckResult(
-                "two-absorption-characterization", FAIL,
-                f"{alg.name}: subset {sorted(bad_subset[0])}: {bad_subset[1]}",
-                (alg.name, tuple(sorted(bad_subset[0]))),
-            ))
+        rec.check("two-absorption-characterization", name, (
+            ("two-absorption-characterization", f"{name}: subset {sorted(subset)}: {why}",
+             (name, tuple(sorted(subset))))
+            for subset, why in itertools.islice(_absorption_mismatches(alg, graph, cap), 1)
+        ))
     return rec.report()
+
+
+def _absorption_mismatches(alg, graph, cap):
+    """Each nonempty subset whose 2-absorption decision disagrees with its
+    asm-closedness or raises SEdgeMismatch, and how."""
+    for bits in range(1, 1 << alg.size):
+        subset = frozenset(i for i in range(alg.size) if bits >> i & 1)
+        try:
+            decision = is_2_absorbing(alg, subset, graph=graph, cap=cap)
+        except SEdgeMismatch as exc:
+            yield subset, str(exc)
+            continue
+        if decision.absorbing != is_x_closed(graph, "asm", subset):
+            yield subset, "decision/closedness mismatch"

@@ -310,7 +310,7 @@ def shift_tolerance_chain(
             raise PreconditionViolated(f"chain pair ({chain[j]},{chain[j + 1]}) not in S")
     if graph is None:
         graph = compute_edges(alg)
-    if s_path[0] != chain[i]:
+    if not s_path or s_path[0] != chain[i]:
         raise PreconditionViolated("s-path must start at the chain entry")
     s = graph.edges("s")
     for u, v in zip(s_path, s_path[1:]):

@@ -186,6 +186,12 @@ class TestShiftToleranceChain:
         with pytest.raises(CapExceeded, match=r"\(1,0\) is undecided.*cap"):
             shift_tolerance_chain(alg_a1, tol, (1,), 0, (1, 0), meet, graph=graph)
 
+    def test_rejects_empty_s_path(self, alg_a1):
+        # an empty s-path does not start at the chain entry either
+        meet = universal_meet(alg_a1)
+        with pytest.raises(PreconditionViolated, match="s-path must start"):
+            shift_tolerance_chain(alg_a1, BinaryRelation.full(4, 4), (1,), 0, (), meet)
+
     def test_rejects_non_tolerance(self, z2):
         meet = universal_meet(z2)
         not_refl = BinaryRelation.from_pairs(2, 2, [(0, 0)])
