@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .algebra import FiniteAlgebra, generate_subproduct, is_subuniverse, quotient_algebra
+from .algebra import FiniteAlgebra, is_closed, is_subuniverse, quotient_algebra
 from .congruences import congruences as congruence_report
 from .edges import EdgeGraph, compute_edges, is_x_closed
 from .errors import CapExceeded, SEdgeMismatch
@@ -99,16 +100,15 @@ def is_3_absorbing(
     if not subset:
         raise ValueError("absorption is about nonempty subsets")
     n = alg.size
-    cross = sorted(
+    cross = frozenset(
         {(x, y) for x in subset for y in range(n)}
         | {(x, y) for x in range(n) for y in subset}
     )
-    closed_rows = generate_subproduct([alg, alg], cross)
-    structural = len(closed_rows) == len(cross)
+    structural = is_closed([alg, alg], cross)
     witness = None
     free = free_algebra(alg, 3, cap=cap)
     if free.complete:
-        witness = _ternary_witness(free, subset, n)
+        witness = next((t for t in free.elements if _sends_into(t, subset, _two_of_three)), None)
         if (witness is not None) != structural:
             raise SEdgeMismatch(
                 f"{alg.name}: subset {sorted(subset)} structural ternary "
@@ -116,24 +116,10 @@ def is_3_absorbing(
             )
     wit = None
     if structural:
-        wit = AbsorptionWitness(subset, "ternary", witness, frozenset(cross), "structural")
+        wit = AbsorptionWitness(subset, "ternary", witness, cross, "structural")
     return AbsorptionDecision(
         structural, wit, is_subuniverse(alg, subset), single_method=not free.complete
     )
-
-
-def _ternary_witness(free, subset, n):
-    inside = [x in subset for x in range(n)]
-    for t in free.elements:
-        ok = True
-        for args in itertools.product(range(n), repeat=3):
-            outside = sum(1 for a in args if not inside[a])
-            if outside <= 1 and not inside[t.apply(*args)]:
-                ok = False
-                break
-        if ok:
-            return t
-    return None
 
 
 @dataclass(frozen=True)
@@ -166,7 +152,7 @@ def bounded_projectivity(
         proj_ok = True
         strong_ok = True
         for ti, t in enumerate(free.elements):
-            pulls = [_coordinate_pulls(t, i, subset) for i in range(k)]
+            pulls = [_sends_into(t, subset, itemgetter(i)) for i in range(k)]
             if not any(pulls):
                 proj_ok = False
                 strong_ok = False  # idempotence: some coordinate is essential
@@ -189,14 +175,6 @@ def bounded_projectivity(
         len(subset) == 1 and strong_upto >= arity_cap,
         first_failure,
     )
-
-
-def _coordinate_pulls(t: TermOperation, i: int, subset: frozenset[int]) -> bool:
-    n = t.size()
-    for args in itertools.product(range(n), repeat=t.arity):
-        if args[i] in subset and t.apply(*args) not in subset:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -312,10 +290,20 @@ def _audit_transport(alg: FiniteAlgebra, rows, cap: int) -> bool:
     return ok
 
 
+def _sends_into(t: TermOperation, subset: frozenset[int], need) -> bool:
+    """Does t send into `subset` every argument tuple whose pattern (one bool
+    per argument: is it in `subset`?) satisfies `need`?  The patterns run in
+    the row-major order of t's table."""
+    inside = [x in subset for x in range(t.size())]
+    patterns = itertools.product(inside, repeat=t.arity)
+    return all(inside[v] for pattern, v in zip(patterns, t.table) if need(pattern))
+
+
+def _two_of_three(pattern) -> bool:
+    return sum(pattern) >= 2
+
+
 def _witnesses_2abs(t: TermOperation, subset: frozenset[int], n: int) -> bool:
-    return all(
-        t.apply(b, x) in subset and t.apply(x, b) in subset
-        for b in subset
-        for x in range(n)
-    )
+    """t(B, A) <= B and t(A, B) <= B for the binary t over n elements."""
+    return _sends_into(t, subset, any)
 

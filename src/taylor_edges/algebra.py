@@ -69,7 +69,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NotACongruence, NotClosed, SignatureMismatch
+from .errors import CapExceeded, NotACongruence, NotClosed, NotSubdirect, SignatureMismatch
 
 # Element budget per vectorized closure chunk; keeps peak memory flat.  The
 # chunk boundaries decide which partial set a capped closure returns.
@@ -668,6 +668,18 @@ def sg_closure(alg: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
     return _sg_closure_cached(alg, fseed)
 
 
+def is_closed(coords: Sequence[FiniteAlgebra], rows: Iterable[tuple[int, ...]]) -> bool:
+    """Is the set of `rows` a subuniverse of the product of `coords`?  The
+    closure is capped at the set's size, so it stops at the first chunk that
+    outgrows the set."""
+    rows = sorted(set(rows))
+    try:
+        generate_subproduct(coords, rows, cap=len(rows))
+    except CapExceeded:
+        return False
+    return True
+
+
 def is_subuniverse(alg: FiniteAlgebra, subset: Iterable[int]) -> bool:
     fs = frozenset(subset)
     if not fs:
@@ -925,8 +937,11 @@ class Partition:
     def join(self, other: "Partition") -> "Partition":
         if self.size != other.size:
             raise ValueError("partition size mismatch")
-        pairs = [(a, b) for a in range(self.size) for b in range(self.size)
-                 if self.same(a, b) or other.same(a, b)]
+        # tie each element to its block's least element in both partitions
+        pairs = []
+        for p in (self, other):
+            reps = p.block_representatives()
+            pairs += [(x, reps[b]) for x, b in enumerate(p.blocks_of)]
         return Partition.from_pairs(self.size, pairs)
 
     def meet(self, other: "Partition") -> "Partition":
@@ -939,12 +954,7 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """Every block of self lies inside a block of other (self <= other)."""
-        return all(
-            other.same(a, b)
-            for a in range(self.size)
-            for b in range(self.size)
-            if self.same(a, b)
-        )
+        return len(set(zip(self.blocks_of, other.blocks_of))) == self.block_count()
 
 
 @dataclass(frozen=True)
@@ -999,10 +1009,7 @@ class BinaryRelation:
         alg_right = alg_right or alg_left
         if alg_left.signature != alg_right.signature:
             raise SignatureMismatch("relation sides have different signatures")
-        if not self.pairs:
-            return True
-        closed = generate_subproduct([alg_left, alg_right], sorted(self.pairs))
-        return len(closed) == len(self.pairs)
+        return is_closed([alg_left, alg_right], self.pairs)
 
     def is_tolerance(self, alg: FiniteAlgebra) -> bool:
         return self.is_reflexive() and self.is_symmetric() and self.is_compatible(alg)
@@ -1023,8 +1030,6 @@ def link_structure(rel: BinaryRelation, coordinate: int) -> LinkStructure:
     other side; lk_i is its transitive closure.  `has_full_fiber` reports
     whether some element of the opposite side is related to the whole side i.
     """
-    from .errors import NotSubdirect
-
     if coordinate not in (1, 2):
         raise ValueError("coordinate must be 1 or 2")
     if not rel.is_subdirect():

@@ -203,11 +203,14 @@ def cmd_verify(args) -> int:
     coverage: dict[str, int] = {}  # AxiomReport.coverage summed over every report
     passed = True  # every check passed; skipped ones make this False
     failed = False
+    arities = _arity_tuple(args)
     for group in groups.values():
         template = Template.hs_closure(group, size_cap=max(a.size for a in group))
         catalog = list(template.members)
-        reports = [verify_edge_axioms(catalog, cap=args.closure_cap)] + [
-            verify_edge_theorems(alg, subset_cap=args.subset_cap, cap=args.closure_cap)
+        graphs = {alg: compute_edges(alg, arities, cap=args.closure_cap) for alg in catalog}
+        reports = [verify_edge_axioms(catalog, graphs, cap=args.closure_cap)] + [
+            verify_edge_theorems(alg, graphs[alg], subset_cap=args.subset_cap,
+                                 cap=args.closure_cap)
             for alg in catalog
         ]
         for rep in reports:

@@ -33,11 +33,13 @@ from .algebra import (
     flat_indices,
     generate_subproduct,
     induced_subalgebra,
+    is_closed,
     push_table,
     quotient_algebra,
     sg_closure,
 )
-from .errors import CapExceeded, NotACongruence, SignatureMismatch
+from .errors import CapExceeded, NotACongruence, NotCompatible, SignatureMismatch
+from .terms import is_affine_algebra
 
 
 def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
@@ -183,30 +185,20 @@ def is_abelian(alg: FiniteAlgebra) -> bool:
 @dataclass(frozen=True)
 class AffineReport:
     is_abelian: bool
-    is_affine: bool | None        # None when the Taylor status is unknown
+    is_affine: bool | None        # None when abelian and the Taylor status is unknown
     r3_criterion: bool | None     # None when no ternary relation was supplied
     r3_witness: tuple | None      # first failing (a, coordinate) if criterion fails
 
 
 def affine_checks(alg: FiniteAlgebra, r3: frozenset | None = None) -> AffineReport:
-    """Abelianness (matrix method), affineness (abelian and Taylor), and the
+    """Abelianness (matrix method), affineness (`is_affine_algebra`), and the
     bijection-sections criterion for an optional compatible ternary relation."""
-    from .errors import NotCompatible
-    from .terms import taylor_report
-
-    abelian = is_abelian(alg)
-    taylor = taylor_report(alg)
-    if taylor.has_taylor is None:
-        affine = None
-    else:
-        affine = abelian and taylor.has_taylor
-
+    abelian, affine = is_abelian(alg), is_affine_algebra(alg)
     criterion = None
     witness = None
     if r3 is not None:
         triples = frozenset(tuple(t) for t in r3)
-        closed = generate_subproduct([alg] * 3, sorted(triples))
-        if len(closed) != len(triples):
+        if not is_closed([alg] * 3, triples):
             raise NotCompatible("the ternary relation is not closed under the operations")
         criterion, witness = _r3_sections_bijective(alg.size, triples)
     return AffineReport(abelian, affine, criterion, witness)

@@ -20,10 +20,12 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
+    OperationTable,
     flat_indices,
     generate_subproduct,
     induced_subalgebra,
     push_table,
+    quotient_algebra,
     sg_closure,
     table_side,
 )
@@ -302,35 +304,19 @@ def taylor_report(alg: FiniteAlgebra, cap: int = 4096) -> TaylorReport:
     complete free algebra at the prime arity.  Minimality evidence is bounded:
     each found cyclic operation must regenerate all basic operation tables.
     """
-    if alg.size == 1:
-        op = TermOperation(2, (0,), Var(0))
-        return TaylorReport(True, op, 2, (2,), True)
     p = least_prime_above(alg.size)
-    searched = []
-    witnesses: tuple[TermOperation, ...] = ()
-    witness_arity = None
-    definitive_no = False
-    for arity in range(2, p + 1):
-        searched.append(arity)
-        ops, complete = cyclic_operations(alg, arity, cap=cap)
-        if ops:
-            witnesses = ops
-            witness_arity = arity
+    for witness_arity in range(2, p + 1):
+        witnesses, complete = cyclic_operations(alg, witness_arity, cap=cap)
+        if witnesses:
             break
-        if arity == p and complete:
-            definitive_no = True
-        if arity == p and not complete:
-            return TaylorReport(None, None, None, tuple(searched), None)
-
-    if witness_arity is None:
-        if definitive_no:
-            return TaylorReport(False, None, None, tuple(searched), None)
-        return TaylorReport(None, None, None, tuple(searched), None)
+    else:
+        # no cyclic term up to p: only a complete F(p) rules a Taylor term out
+        return TaylorReport(False if complete else None, None, None, tuple(range(2, p + 1)), None)
 
     minimal: bool | None = True
     for c in witnesses:
         reduct = FiniteAlgebra(
-            f"{alg.name}~cyc{witness_arity}", alg.size, (_op_from_term(c),)
+            f"{alg.name}~cyc{witness_arity}", alg.size, (OperationTable("c", c.arity, c.table),)
         )
         for op in alg.ops:
             sub = free_algebra(reduct, op.arity, cap=cap)
@@ -339,13 +325,8 @@ def taylor_report(alg: FiniteAlgebra, cap: int = 4096) -> TaylorReport:
                 break
         if minimal is not True:
             break
-    return TaylorReport(True, witnesses[0], witness_arity, tuple(searched), minimal)
-
-
-def _op_from_term(t: TermOperation):
-    from .algebra import OperationTable
-
-    return OperationTable("c", t.arity, t.table)
+    searched = tuple(range(2, witness_arity + 1))
+    return TaylorReport(True, witnesses[0], witness_arity, searched, minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +519,9 @@ def is_affine_algebra(alg: FiniteAlgebra, cap: int = 4096) -> bool | None:
     """Abelian and Taylor; exact for idempotent algebras (None if Taylor unknown)."""
     from .congruences import is_abelian
 
-    if alg.size == 1:
-        return True
     if not is_abelian(alg):
         return False
-    rep = taylor_report(alg, cap=cap)
-    if rep.has_taylor is None:
-        return None
-    return rep.has_taylor
+    return taylor_report(alg, cap=cap).has_taylor
 
 
 @dataclass(frozen=True)
@@ -564,7 +540,6 @@ def condition_checks(alg: FiniteAlgebra, t: TermOperation) -> ConditionReport:
     a two-element majority algebra (resp. an affine algebra) and evaluates the
     action of t there.
     """
-    from .algebra import quotient_algebra
     from .congruences import congruences as congruence_report
 
     if t.arity != 3 or t.size() != alg.size:

@@ -207,3 +207,13 @@ class TestCli:
         for key, value in payload.items():
             if isinstance(value, (bool, int, str)) and key != "algebra":
                 assert f"{key}: {value}" in text
+
+    def test_verify_honors_arities(self, catalog_file, capsys):
+        # the catalog's edge sets do not depend on the cyclic arity; a
+        # two-element majority algebra has no cyclic binary term
+        assert main(["verify", str(catalog_file), "--format", "json"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", str(catalog_file), "--format", "json", "--arities", "3,5"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["verify", str(catalog_file), "--arities", "2"]) == 1
+        assert "no cyclic operation at arity 2" in capsys.readouterr().err
