@@ -71,26 +71,45 @@ def canonical_key(alg: FiniteAlgebra) -> tuple:
     """Isomorphism-invariant key: the least relabeled table vector.
 
     Under a relabeling `perm` with inverse `inv`, a k-ary table's entry at
-    (a_1, ..., a_k) is perm[table[flat(inv[a_1], ..., inv[a_k])]]; the flat
-    indices are listed once per arity and permutation, in row-major order.
+    (a_1, ..., a_k) is perm[table[flat(inv[a_1], ..., inv[a_k])]].  The
+    relabeled tables are read in signature order, one row-major row at a
+    time: a row is a fixed prefix (a_1, ..., a_{k-1}) with a_k running over
+    the elements.  After each row only the relabelings whose rows so far are
+    least survive, until one is left or the tables run out.
+
+    This is exact: vectors compare lexicographically, so the first row where
+    two relabeled vectors differ decides between them.  The survivors of
+    every row are therefore exactly the relabelings that reach the least
+    vector, and they all give it.  The worst case is still all n!
+    relabelings, reached when every relabeling is an automorphism (a
+    projection algebra).
     """
     n = alg.size
-    best = None
+    survivors = []
     for perm in itertools.permutations(range(n)):
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-        indices: dict[int, list[int]] = {}
-        tables = []
-        for op in alg.ops:
-            if op.arity not in indices:
-                indices[op.arity] = flat_indices(inv, n, op.arity)
-            values = map(op.table.__getitem__, indices[op.arity])
-            tables.append(tuple(map(perm.__getitem__, values)))
-        key = tuple(tables)
-        if best is None or key < best:
-            best = key
-    return (n, alg.signature, best)
+        survivors.append((perm, inv))
+    for op in alg.ops:
+        table = op.table
+        for prefix in itertools.product(range(n), repeat=op.arity - 1):
+            if len(survivors) == 1:
+                break
+            rows = []
+            for perm, inv in survivors:
+                base = 0
+                for a in prefix:
+                    base = (base + inv[a]) * n
+                rows.append([perm[table[base + x]] for x in inv])
+            least = min(rows)
+            survivors = [s for s, row in zip(survivors, rows) if row == least]
+    perm, inv = survivors[0]
+    tables = tuple(
+        tuple(map(perm.__getitem__, map(op.table.__getitem__, flat_indices(inv, n, op.arity))))
+        for op in alg.ops
+    )
+    return (n, alg.signature, tables)
 
 
 @dataclass(frozen=True)
@@ -107,15 +126,13 @@ class Template:
             if s.signature != seeds[0].signature:
                 raise SignatureMismatch("template seeds must share a signature")
         seen: dict[tuple, FiniteAlgebra] = {}
-        queue: list[FiniteAlgebra] = []
         for s in seeds:
             if s.size <= size_cap:
-                key = canonical_key(s)
-                if key not in seen:
-                    seen[key] = s
-                    queue.append(s)
-        while queue:
-            alg = queue.pop(0)
+                seen.setdefault(canonical_key(s), s)
+        # every derived algebra is smaller than the member it comes from, so
+        # none exceeds size_cap; the loop also visits members added on the way
+        queue = list(seen.values())
+        for alg in queue:
             derived: list[FiniteAlgebra] = []
             enum = enumerate_subuniverses(alg, cap=alg.size)
             for sub in enum.subuniverses:
@@ -125,8 +142,6 @@ class Template:
                 if not theta.is_zero():
                     derived.append(quotient_algebra(alg, theta))
             for d in derived:
-                if d.size > size_cap:
-                    continue
                 key = canonical_key(d)
                 if key not in seen:
                     seen[key] = d
