@@ -63,7 +63,7 @@ representatives of a partition's blocks, and is the one congruence test.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import eq, getitem
 from typing import Iterable, Sequence
 
@@ -131,12 +131,17 @@ class OperationTable:
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """A finite idempotent algebra over elements 0..size-1."""
+    """A finite idempotent algebra over elements 0..size-1.
 
-    name: str
+    The name is a label only: equality and hashing read the size and the
+    operation tables, so every cache keyed by an algebra holds one entry per
+    table set, whatever its name.  A cached result that holds an algebra
+    comes back holding the caller's (see `tables_cache`)."""
+
+    name: str = field(compare=False)
     size: int
     ops: tuple[OperationTable, ...]
-    # the hash of the fields, computed once: caches keyed by an algebra would
+    # the hash of the tables, computed once: caches keyed by an algebra would
     # otherwise hash every table on every call
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -146,7 +151,7 @@ class FiniteAlgebra:
             if op.symbol in seen:
                 raise ValueError(f"duplicate operation symbol {op.symbol!r}")
             seen.add(op.symbol)
-        object.__setattr__(self, "_hash", hash((self.name, self.size, self.ops)))
+        object.__setattr__(self, "_hash", hash((self.size, self.ops)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -167,6 +172,31 @@ class FiniteAlgebra:
 
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(name, self.size, self.ops)
+
+
+def tables_cache(rebind):
+    """An unbounded `functools.lru_cache` for a function whose result holds
+    the algebras it was called with.  Equal algebras share an entry whatever
+    their names, so each result is passed through `rebind(result, *args)`,
+    which returns it holding the caller's own algebras.  `cache_info` is the
+    cache's; `__wrapped__` is the uncached function."""
+
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=None)(fn)
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            return rebind(cached(*args, **kwargs), *args)
+
+        call.cache_info = cached.cache_info
+        return call
+
+    return decorate
+
+
+def with_algebra(result, alg: FiniteAlgebra, *_):
+    """`result` holding `alg` in its `algebra` field, for `tables_cache`."""
+    return result if result.algebra is alg else replace(result, algebra=alg)
 
 
 @dataclass(frozen=True)
@@ -741,19 +771,24 @@ def _hypergraph_connected(n: int, edges: list[frozenset[int]]) -> bool:
 # Derived algebras (canonical renumbering fixed for bit-stable output)
 
 
-@functools.lru_cache(maxsize=None)
 def induced_subalgebra(alg: FiniteAlgebra, subset: frozenset) -> FiniteAlgebra:
-    """Restrict `alg` to a closed subset; elements renamed by ascending index."""
+    """Restrict `alg` to a closed subset; elements renamed by ascending index.
+    The tables are cached, the name is the caller's."""
+    name = f"{alg.name}|{{{','.join(map(str, sorted(subset)))}}}"
+    return FiniteAlgebra(name, len(subset), _induced_tables(alg, subset))
+
+
+@functools.lru_cache(maxsize=None)
+def _induced_tables(alg: FiniteAlgebra, subset: frozenset) -> tuple[OperationTable, ...]:
     elems = sorted(subset)
     if not is_subuniverse(alg, elems):
-        raise NotClosed(f"{sorted(subset)} is not a subuniverse of {alg.name}")
+        raise NotClosed(f"{elems} is not a subuniverse of {alg.name}")
     old_to_new = {e: i for i, e in enumerate(elems)}
     ops = []
     for op in alg.ops:
         values = map(op.table.__getitem__, flat_indices(elems, alg.size, op.arity))
         ops.append(OperationTable(op.symbol, op.arity, tuple(map(old_to_new.__getitem__, values))))
-    name = f"{alg.name}|{{{','.join(map(str, elems))}}}"
-    return FiniteAlgebra(name, len(elems), tuple(ops))
+    return tuple(ops)
 
 
 def quotient_algebra(alg: FiniteAlgebra, partition: "Partition") -> FiniteAlgebra:

@@ -37,6 +37,7 @@ from .algebra import (
     push_table,
     quotient_algebra,
     sg_closure,
+    tables_cache,
 )
 from .errors import CapExceeded, NotACongruence, NotCompatible, SignatureMismatch
 from .terms import is_affine_algebra
@@ -251,7 +252,14 @@ def is_homomorphism(src: FiniteAlgebra, dst: FiniteAlgebra, mapping: tuple[int, 
     return True
 
 
-@functools.lru_cache(maxsize=None)
+def _with_ends(homs: tuple[Homomorphism, ...], src: FiniteAlgebra, dst: FiniteAlgebra):
+    """`homs` with the caller's source and target, for `tables_cache`."""
+    if not homs or (homs[0].source is src and homs[0].target is dst):
+        return homs
+    return tuple(Homomorphism(src, dst, h.mapping) for h in homs)
+
+
+@tables_cache(_with_ends)
 def homomorphisms_between(src: FiniteAlgebra, dst: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """All homomorphisms src -> dst, as the graphs that are subuniverses of src x dst.
 

@@ -30,6 +30,7 @@ from .algebra import (
     OperationTable,
     quotient_algebra,
     sg_closure,
+    tables_cache,
 )
 from .congruences import (
     centralizer_condition,
@@ -715,11 +716,18 @@ def joint_universal_meet(algebras: list[FiniteAlgebra], cap: int = 4096) -> Join
     for a in algebras:
         if a not in distinct:
             distinct.append(a)
-    key = sorted(distinct, key=lambda a: (a.size, [op.table for op in a.ops], a.name))
+    key = sorted(distinct, key=lambda a: (a.size, [op.table for op in a.ops]))
     return _joint_universal_meet_cached(tuple(key), cap)
 
 
-@functools.lru_cache(maxsize=None)
+def _with_domains(meet: JointMeet, distinct: tuple[FiniteAlgebra, ...], *_) -> JointMeet:
+    """`meet` holding the caller's algebras, for `tables_cache`."""
+    if all(a is b for a, (b, _) in zip(distinct, meet.tables)):
+        return meet
+    return JointMeet(meet.tree, tuple((a, t) for a, (_, t) in zip(distinct, meet.tables)))
+
+
+@tables_cache(_with_domains)
 def _joint_universal_meet_cached(distinct: tuple[FiniteAlgebra, ...], cap: int) -> JointMeet:
     c_tree, arity = joint_cyclic_tree(list(distinct), cap=cap)
     t_tree = substitute(c_tree, {i: Var(1) for i in range(1, arity)})

@@ -27,14 +27,22 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import FiniteAlgebra, BinaryRelation, Partition, induced_subalgebra, sg_closure
+from .algebra import (
+    FiniteAlgebra,
+    BinaryRelation,
+    Partition,
+    induced_subalgebra,
+    sg_closure,
+    tables_cache,
+    with_algebra,
+)
 from .errors import CapExceeded, NoCyclicWitness, PreconditionViolated, SEdgeMismatch
 from .terms import (
     UniversalMeet,
     cyclic_operations,
     free_algebra,
     least_prime_above,
-    semilattice_witness,
+    semilattice_term,
 )
 
 Edge = tuple[int, int]
@@ -125,7 +133,7 @@ def _edge_pair_in_subalgebra(
     return as_ok, sm_ok
 
 
-@functools.lru_cache(maxsize=None)
+@tables_cache(with_algebra)
 def compute_edges(
     alg: FiniteAlgebra, arities: tuple[int, ...] | None = None, cap: int = 4096
 ) -> EdgeGraph:
@@ -162,7 +170,7 @@ def compute_edges(
         # independent s-edge characterization: {a,b} is a subuniverse and
         # (b, b) lies in Sg{(a, b), (b, a)} <= A^2, i.e. some binary term acts
         # on {a, b} as a semilattice absorbing b
-        s_direct = semilattice_witness(alg, a, b) is not None
+        s_direct = len(sub_set) == 2 and semilattice_term(alg, a, b) is not None
         if s_direct != (as_ok and sm_ok):
             raise SEdgeMismatch(
                 f"{alg.name}: pair ({a},{b}) is s-edge={as_ok and sm_ok} by the "

@@ -28,6 +28,8 @@ from .algebra import (
     quotient_algebra,
     sg_closure,
     table_side,
+    tables_cache,
+    with_algebra,
 )
 from .errors import ArityMismatch, CapExceeded, NoCyclicWitness, PreconditionViolated
 
@@ -224,7 +226,7 @@ def derivation_trees(ops, seeds: list, rows: list, derivs: list) -> list[TermTre
     return trees
 
 
-@functools.lru_cache(maxsize=None)
+@tables_cache(with_algebra)
 def free_algebra(
     alg: FiniteAlgebra, k: int, cap: int = 4096, work_cap: int = 50_000_000
 ) -> FreeAlgebra:

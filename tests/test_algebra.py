@@ -420,7 +420,9 @@ class TestAlgebraHash:
         )
         assert twin == alg_a1 and twin is not alg_a1
         assert hash(twin) == hash(alg_a1)
-        assert hash(twin) == hash((alg_a1.name, alg_a1.size, alg_a1.ops))
+        assert hash(twin) == hash((alg_a1.size, alg_a1.ops))
+        renamed = alg_a1.rename("renamed")
+        assert renamed == alg_a1 and hash(renamed) == hash(alg_a1)
         seed = frozenset({1, 2})
         sg_closure(alg_a1, seed)
         hits = _sg_closure_cached.cache_info().hits

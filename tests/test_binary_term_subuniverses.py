@@ -66,7 +66,9 @@ def reference_scans():
     """The library with each of its four sites running the F(2) scan."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(edges, "_edge_pair_in_subalgebra", ref._edge_pair_in_subalgebra)
-        mp.setattr(edges, "semilattice_witness", ref.semilattice_witness)
+        mp.setattr(
+            edges, "semilattice_term", lambda alg, a, b: ref.semilattice_witness(alg, a, b, CAP)
+        )
         mp.setattr(
             axioms, "semilattice_term",
             lambda alg, a, b: True if ref._semilattice_term_witness(alg, a, b, CAP) else None,
